@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import zlib
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .grid import (AttentionMask, GridShape, Schedule, build_mask,
 NEIGHBOR = "neighbor"
 RASTER = "raster"
 
-CKPT_MAGIC = b"NARCKPT1"
+CKPT_MAGIC = b"NARCKPT2"  # CRC-32 trailer
+LEGACY_CKPT_MAGIC = b"NARCKPT1"  # FNV-1a64 trailer, still read
 
 
 @dataclass(frozen=True)
@@ -319,60 +321,100 @@ def _routed_loss(cfg, logits, tokens_in_order, routes):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class KVCache:
-    """Append-only per-block key/value caches for one generation."""
+    """Preallocated per-block key/value buffers for one generation.
 
-    keys: list[np.ndarray | None] = field(default_factory=list)
-    values: list[np.ndarray | None] = field(default_factory=list)
-    length: int = 0
+    A generation feeds at most `capacity` slots (condition + every token),
+    so each block's buffers are allocated once, at its first pass, and every
+    pass writes its new slots in place after the `length` already filled.
+    `filled` counts the slots each block has written; it must equal `length`
+    between passes.
+    """
+
+    def __init__(self, num_layers: int, capacity: int):
+        self.capacity = capacity
+        self.keys: list[np.ndarray | None] = [None] * num_layers
+        self.values: list[np.ndarray | None] = [None] * num_layers
+        self.filled = [0] * num_layers
+        self.length = 0
 
     @classmethod
     def empty(cls, cfg: ModelConfig) -> "KVCache":
-        n = cfg.num_blocks + cfg.num_decode_heads
-        return cls(keys=[None] * n, values=[None] * n, length=0)
+        return cls(cfg.num_blocks + cfg.num_decode_heads,
+                   cfg.shape.num_tokens + 1)
+
+    def append(self, layer: int, k: np.ndarray, v: np.ndarray):
+        """Write new (rows, heads, m, head_dim) keys and values for one
+        layer; return views of that layer's filled prefix."""
+        if self.keys[layer] is None:
+            rows, heads, _, dh = k.shape
+            self.keys[layer] = np.empty((rows, heads, self.capacity, dh),
+                                        dtype=k.dtype)
+            self.values[layer] = np.empty_like(self.keys[layer])
+        start = self.filled[layer]
+        end = start + k.shape[2]
+        self.keys[layer][:, :, start:end] = k
+        self.values[layer][:, :, start:end] = v
+        self.filled[layer] = end
+        return self.keys[layer][:, :, :end], self.values[layer][:, :, :end]
 
 
 def _gelu_np(x):
     c = np.float32(math.sqrt(2.0 / math.pi))
-    return 0.5 * x * (1.0 + np.tanh(c * (x + np.float32(0.044715) * x ** 3)))
+    k = np.float32(0.044715)
+    return 0.5 * x * (1.0 + np.tanh(c * (x + k * (x * x * x))))
 
 
 def _ln_np(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # sum / n rounds exactly as x.mean() does, without its Python wrapper
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     return xc / np.sqrt(var + np.float32(eps)) * g + b
 
 
-def _block_infer(arr, prefix, x, cache: KVCache, slot, n_heads,
-                 bias=None):
-    """One block over m new slots, attending cache + new (all allowed
-    unless an explicit bias over [cached + new] keys is given)."""
+def _block_infer(arr, prefix, x, n_heads, bias=None, cache=None, layer=0):
+    """One block over m new slots.
+
+    With a cache, the slots are appended to layer `layer` and attend to the
+    filled prefix; without one they attend to each other.  Attention is
+    unmasked unless an explicit additive `bias` over those keys is given.
+    """
     B, m, D = x.shape
     dh = D // n_heads
     h = _ln_np(x, arr[f"{prefix}.ln1_g"], arr[f"{prefix}.ln1_b"])
     qkv = h @ arr[f"{prefix}.w_qkv"] + arr[f"{prefix}.b_qkv"]
     qkv = qkv.reshape(B, m, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q, k, v = qkv[0], qkv[1], qkv[2]
-    if cache.keys[slot] is None:
-        kf, vf = k, v
-    else:
-        kf = np.concatenate([cache.keys[slot], k], axis=2)
-        vf = np.concatenate([cache.values[slot], v], axis=2)
-    cache.keys[slot] = kf
-    cache.values[slot] = vf
-    scores = q @ kf.swapaxes(-1, -2) / np.float32(math.sqrt(dh))
+    if cache is not None:
+        k, v = cache.append(layer, k, v)
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= np.float32(math.sqrt(dh))
     if bias is not None:
-        scores = scores + bias
+        scores += bias
     scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    att = (e / e.sum(axis=-1, keepdims=True)) @ vf
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    att = scores @ v
     att = att.transpose(0, 2, 1, 3).reshape(B, m, D)
     x = x + att @ arr[f"{prefix}.w_o"] + arr[f"{prefix}.b_o"]
     h = _ln_np(x, arr[f"{prefix}.ln2_g"], arr[f"{prefix}.ln2_b"])
     h = _gelu_np(h @ arr[f"{prefix}.w_fc1"] + arr[f"{prefix}.b_fc1"])
     return x + h @ arr[f"{prefix}.w_fc2"] + arr[f"{prefix}.b_fc2"]
+
+
+def _infer_blocks(arr, cfg: ModelConfig, x, bias=None, cache=None):
+    """Backbone then every decoding head; return per-head logits."""
+    n_heads = cfg.num_attn_heads
+    for i in range(cfg.num_blocks):
+        x = _block_infer(arr, f"bb{i}", x, n_heads, bias, cache, i)
+    logits = []
+    for h in range(cfg.num_decode_heads):
+        y = _block_infer(arr, f"head{h}", x, n_heads, bias, cache,
+                         cfg.num_blocks + h)
+        y = _ln_np(y, arr[f"head{h}.lnf_g"], arr[f"head{h}.lnf_b"])
+        logits.append(y @ arr[f"head{h}.w_out"] + arr[f"head{h}.b_out"])
+    return logits
 
 
 def embed_condition(p: ModelParams, class_ids: np.ndarray) -> np.ndarray:
@@ -397,26 +439,25 @@ def forward_incremental(p: ModelParams, new_embeds: np.ndarray,
 
     new_embeds: (B, m, D), all slots belonging to one schedule step;
     attention is bidirectional among them and causal to the cache, so no
-    mask is needed unless `bias` explicitly overrides.  Extends the cache.
+    mask is needed unless `bias` explicitly overrides.  Extends the cache;
+    raises ValueError if its bookkeeping is out of step or the new slots
+    would pass its capacity.
     """
     cfg = p.config
     if new_embeds.ndim != 3 or new_embeds.shape[1] == 0:
         raise ValueError("need at least one new slot of shape (B, m, D)")
-    if cache.keys[0] is not None:
-        if cache.keys[0].shape[2] != cache.length:
-            raise ValueError("cache desync: slot count mismatch")
-    arr = p.arrays()
-    x = new_embeds.astype(np.float32)
-    for i in range(cfg.num_blocks):
-        x = _block_infer(arr, f"bb{i}", x, cache, i, cfg.num_attn_heads, bias)
-    logits = []
-    for h in range(cfg.num_decode_heads):
-        slot = cfg.num_blocks + h
-        y = _block_infer(arr, f"head{h}", x, cache, slot,
-                         cfg.num_attn_heads, bias)
-        y = _ln_np(y, arr[f"head{h}.lnf_g"], arr[f"head{h}.lnf_b"])
-        logits.append(y @ arr[f"head{h}.w_out"] + arr[f"head{h}.b_out"])
-    cache.length += new_embeds.shape[1]
+    if any(n != cache.length for n in cache.filled):
+        raise ValueError("cache desync: slot count mismatch")
+    m = new_embeds.shape[1]
+    if cache.length + m > cache.capacity:
+        raise ValueError(f"cache overflow: {cache.length} + {m} slots "
+                         f"exceed capacity {cache.capacity}")
+    if cache.keys[0] is not None and \
+            cache.keys[0].shape[0] != new_embeds.shape[0]:
+        raise ValueError("row count differs from the cached rows")
+    logits = _infer_blocks(p.arrays(), cfg, new_embeds.astype(np.float32),
+                           bias, cache)
+    cache.length += m
     return logits
 
 
@@ -435,23 +476,8 @@ def infer_logits(p: ModelParams, tokens_in_order: np.ndarray,
     for a in range(cfg.shape.ndim):
         tok = tok + arr[f"pos{a}"][layout.coords[a]]
     cond = (arr["cls_emb"][np.asarray(class_ids)] + arr["cond_pos"])[:, None, :]
-    x = np.concatenate([cond, tok], axis=1)
-    bias = mask.bias()
-    cache = KVCache.empty(cfg)  # holds nothing; bias does the masking
-    n_heads = cfg.num_attn_heads
-    for i in range(cfg.num_blocks):
-        x = _block_infer(arr, f"bb{i}", x, cache, i, n_heads, bias)
-        cache.keys[i] = None
-        cache.values[i] = None
-    logits = []
-    for h in range(cfg.num_decode_heads):
-        slot = cfg.num_blocks + h
-        y = _block_infer(arr, f"head{h}", x, cache, slot, n_heads, bias)
-        cache.keys[slot] = None
-        cache.values[slot] = None
-        y = _ln_np(y, arr[f"head{h}.lnf_g"], arr[f"head{h}.lnf_b"])
-        logits.append(y @ arr[f"head{h}.w_out"] + arr[f"head{h}.b_out"])
-    return logits
+    return _infer_blocks(arr, cfg, np.concatenate([cond, tok], axis=1),
+                         mask.bias())
 
 
 # ---------------------------------------------------------------------------
@@ -474,31 +500,40 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(p: ModelParams, path) -> None:
-    """NARCKPT1 | u32 config length | config JSON | f32 LE tensors | FNV-1a64."""
+    """NARCKPT2 | u32 config length | config JSON | f32 LE tensors | CRC-32.
+
+    The u32 little-endian CRC-32 covers everything between magic and
+    trailer.
+    """
     cfg_bytes = p.config.to_json().encode("utf-8")
-    payload = bytearray()
-    payload += len(cfg_bytes).to_bytes(4, "little")
-    payload += cfg_bytes
-    for name, _ in param_shapes(p.config):
-        payload += p[name].data.astype("<f4").tobytes()
-    digest = fnv1a64(bytes(payload))
+    parts = [len(cfg_bytes).to_bytes(4, "little"), cfg_bytes]
+    parts += [p[name].data.astype("<f4").tobytes()
+              for name, _ in param_shapes(p.config)]
+    payload = b"".join(parts)
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(payload)
-        f.write(digest.to_bytes(8, "little"))
+        f.write(zlib.crc32(payload).to_bytes(4, "little"))
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a NARCKPT2 file, or a NARCKPT1 file (FNV-1a64 trailer)."""
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < len(CKPT_MAGIC) + 12 or not blob.startswith(CKPT_MAGIC):
+    if blob.startswith(CKPT_MAGIC):
+        digest, tail_len = zlib.crc32, 4
+    elif blob.startswith(LEGACY_CKPT_MAGIC):
+        digest, tail_len = fnv1a64, 8
+    else:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    payload, tail = blob[len(CKPT_MAGIC):-8], blob[-8:]
-    if fnv1a64(payload) != int.from_bytes(tail, "little"):
+    if len(blob) < len(CKPT_MAGIC) + 4 + tail_len:
+        raise CheckpointError("truncated checkpoint file")
+    payload = memoryview(blob)[len(CKPT_MAGIC):-tail_len]
+    if digest(payload) != int.from_bytes(blob[-tail_len:], "little"):
         raise CheckpointError("checksum mismatch")
     cfg_len = int.from_bytes(payload[:4], "little")
     try:
-        cfg = ModelConfig.from_json(payload[4:4 + cfg_len].decode("utf-8"))
+        cfg = ModelConfig.from_json(bytes(payload[4:4 + cfg_len]).decode("utf-8"))
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"bad config: {e}") from None
     offset = 4 + cfg_len

@@ -4,12 +4,13 @@ overlap mixing, classifier-free guidance, and the raster baseline sampler.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridShape, build_schedule, step_count, successors
+from .grid import GridShape, build_schedule, step_count, target_table
 from .model import (NEIGHBOR, RASTER, KVCache, ModelParams, embed_condition,
                     embed_tokens, forward_incremental)
 
@@ -81,19 +82,19 @@ def apply_cfg(cond: np.ndarray, uncond: np.ndarray, scale: float) -> np.ndarray:
 def sample_token(logits: np.ndarray, config: SamplingConfig, rng) -> int:
     """Temperature / top-k categorical sampling; greedy takes the argmax."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
     if config.greedy or config.top_k == 1:
-        return int(np.argmax(logits))
+        return int(logits.argmax())
     x = logits / config.temperature
-    if config.top_k > 0 and config.top_k < len(x):
+    if 0 < config.top_k < len(x):
         kth = np.partition(x, -config.top_k)[-config.top_k]
         x = np.where(x < kth, -np.inf, x)
-    x = x - x.max()
+    x -= x.max()
     p = np.exp(x)
     p /= p.sum()
     u = rng.random()
-    return int(np.searchsorted(np.cumsum(p), u, side="right").clip(0, len(p) - 1))
+    return min(int(np.cumsum(p).searchsorted(u, side="right")), len(p) - 1)
 
 
 def _pos_rng(seed: int, step: int, flat_index: int):
@@ -102,15 +103,68 @@ def _pos_rng(seed: int, step: int, flat_index: int):
     return np.random.default_rng([seed, step, flat_index])
 
 
+@dataclass(frozen=True)
+class _StepPlan:
+    """Routing for one pass: the positions it decodes and, per route that
+    predicts one of them, the decoding head and the source slot among the
+    pass's new slots.  `by_rank[r]` holds (route ids, target ids) of every
+    target's r-th contribution, in target-table order."""
+
+    positions: tuple
+    flat: np.ndarray  # raster index of each decoded position
+    heads: np.ndarray
+    sources: np.ndarray
+    by_rank: tuple[tuple[np.ndarray, np.ndarray], ...]
+    counts: np.ndarray  # contributions per decoded position (float64)
+
+    def __post_init__(self):
+        # plans are cached and shared by every generate call
+        for a in (self.flat, self.heads, self.sources, self.counts,
+                  *(a for pair in self.by_rank for a in pair)):
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=8)
+def _wavefront_plan(shape: GridShape, axis_heads: tuple[int, ...]):
+    """One `_StepPlan` per schedule step, built once per shape and head map.
+
+    Pass 0 feeds the condition slot, which predicts the origin through every
+    axis; pass s >= 1 feeds the step-(s-1) tokens, whose routes predict the
+    step-s positions.
+    """
+    schedule = build_schedule(shape)
+    starts = [start for start, _ in schedule.steps]
+    routes = [[] for _ in schedule.steps]
+    seen: dict[int, int] = {}
+    for src, axis, tgt in target_table(schedule):
+        s = schedule.step_of[schedule.order[tgt - 1]]
+        source = 0 if src == 0 else src - 1 - starts[s - 1]
+        rank = seen.get(tgt, 0)
+        seen[tgt] = rank + 1
+        routes[s].append((axis_heads[axis], source, tgt - 1 - starts[s], rank))
+    plan = []
+    for s, step_routes in enumerate(routes):
+        heads, sources, tgts, ranks = np.array(step_routes, dtype=np.int64).T
+        positions = schedule.step_positions(s)
+        flat = np.ravel_multi_index(np.array(positions).T, shape.dims)
+        by_rank = tuple((np.flatnonzero(ranks == r), tgts[ranks == r])
+                        for r in range(int(ranks.max()) + 1))
+        plan.append(_StepPlan(positions, flat, heads, sources, by_rank,
+                              np.bincount(tgts).astype(np.float64)))
+    return tuple(plan)
+
+
 def generate(params: ModelParams, class_id: int, shape: GridShape,
-             config: SamplingConfig, schedule=None):
+             config: SamplingConfig):
     """Near-to-far generation: one forward pass per Manhattan-distance step.
 
     Pass 1 feeds the condition slot (plus a null-class twin when guidance is
     active) and predicts the origin through all heads, mixed.  Pass s >= 2
-    feeds the step-(s-2) tokens, routes each per-axis prediction to its
-    target, guides each contribution, mixes per target, and samples all
-    step-(s-1) tokens.  Returns (token grid, GenerationStats).
+    feeds the step-(s-2) tokens and samples all step-(s-1) tokens: every
+    per-axis prediction is routed to its target and guided, and the
+    log-softmaxed contributions to each target are averaged (`mix_logits`,
+    done for the whole wavefront at once).  Returns (token grid,
+    GenerationStats).
     """
     cfg = params.config
     if cfg.mode != NEIGHBOR:
@@ -119,56 +173,47 @@ def generate(params: ModelParams, class_id: int, shape: GridShape,
         raise ValueError(f"shape {shape} does not match model shape {cfg.shape}")
     if not (0 <= class_id < cfg.num_classes):
         raise ValueError("class id out of range")
-    schedule = schedule or build_schedule(shape)
+    plan = _wavefront_plan(shape, tuple(cfg.head_for_axis(a)
+                                        for a in range(shape.ndim)))
     use_cfg = config.cfg_scale != 1.0
     class_ids = [class_id, cfg.null_class] if use_cfg else [class_id]
 
     grid = np.zeros(shape.dims, dtype=np.int64)
+    flat_grid = grid.reshape(-1)
     stats = GenerationStats()
     cache = KVCache.empty(cfg)
-    axes = range(shape.ndim)
-
-    def guided(head_logits, row):
-        if use_cfg:
-            return apply_cfg(head_logits[0, row], head_logits[1, row],
-                             config.cfg_scale)
-        return head_logits[0, row]
-
-    t0 = time.perf_counter()
-    logits = forward_incremental(params, embed_condition(params, class_ids),
-                                 cache)
-    stats.forward_passes += 1
-    origin = schedule.order[0]
-    contribs = [guided(logits[cfg.head_for_axis(a)], 0) for a in axes]
-    grid[origin] = sample_token(
-        mix_logits(contribs), config,
-        _pos_rng(config.seed, 0, _flat(origin, shape)))
-    stats.tokens_generated += 1
-    stats.step_wall_ms.append((time.perf_counter() - t0) * 1000)
-
-    for s in range(1, schedule.num_steps):
+    ids = None
+    for s, step in enumerate(plan):
         t0 = time.perf_counter()
-        prev = schedule.step_positions(s - 1)
-        ids = np.array([grid[p] for p in prev], dtype=np.int64)
-        emb = embed_tokens(params, ids, list(prev))
-        logits = forward_incremental(
-            params, np.repeat(emb[None], len(class_ids), axis=0), cache)
+        if s == 0:
+            x = embed_condition(params, class_ids)
+        else:
+            emb = embed_tokens(params, ids, plan[s - 1].positions)
+            x = np.repeat(emb[None], len(class_ids), axis=0)
+        logits = forward_incremental(params, x, cache)
         stats.forward_passes += 1
-        pending: dict = {}
-        for j, p in enumerate(prev):
-            for q, axis in successors(p, shape):
-                if schedule.step_of[q] != s:
-                    continue
-                pending.setdefault(q, []).append(
-                    guided(logits[cfg.head_for_axis(axis)], j))
-        for q in schedule.step_positions(s):
-            grid[q] = sample_token(
-                mix_logits(pending[q]), config,
-                _pos_rng(config.seed, s, _flat(q, shape)))
-            stats.tokens_generated += 1
+        # (routes, class rows, vocab)
+        routed = np.stack(logits)[step.heads, :, step.sources]
+        if use_cfg:
+            guided = apply_cfg(routed[:, 0], routed[:, 1], config.cfg_scale)
+        else:
+            guided = routed[:, 0]
+        contribs = log_softmax(guided.astype(np.float64))
+        # summed rank by rank, in mix_logits' order, so the means match it
+        mixed = np.zeros((len(step.flat), contribs.shape[1]))
+        for route_ids, targets in step.by_rank:
+            mixed[targets] += contribs[route_ids]
+        mixed /= step.counts[:, None]
+        ids = np.array([
+            sample_token(mixed[t], config, _pos_rng(config.seed, s, int(q)))
+            for t, q in enumerate(step.flat)], dtype=np.int64)
+        flat_grid[step.flat] = ids
+        stats.tokens_generated += len(ids)
         stats.step_wall_ms.append((time.perf_counter() - t0) * 1000)
 
-    assert stats.forward_passes == step_count(shape)
+    if stats.forward_passes != step_count(shape):
+        raise RuntimeError(f"made {stats.forward_passes} forward passes, "
+                           f"expected {step_count(shape)}")
     return grid, stats
 
 
@@ -208,7 +253,9 @@ def generate_raster(params: ModelParams, class_id: int, shape: GridShape,
         if i + 1 < len(order):
             e = embed_tokens(params, np.array([grid[pos]]), [pos])
             x = np.repeat(e[None], len(class_ids), axis=0)
-    assert stats.forward_passes == shape.num_tokens
+    if stats.forward_passes != shape.num_tokens:
+        raise RuntimeError(f"made {stats.forward_passes} forward passes, "
+                           f"expected {shape.num_tokens}")
     return grid, stats
 
 

@@ -36,17 +36,19 @@ class Tensor:
         """Reverse-accumulate gradients from this scalar node."""
         if self.data.ndim != 0 and self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
+        # Depth-first post-order, parents first, built without recursion:
+        # a closure that calls itself forms a reference cycle that keeps
+        # the whole graph alive until the cyclic collector runs.
         topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        stack = [(self, False)]
+        while stack:
+            t, parents_done = stack.pop()
+            if parents_done:
+                topo.append(t)
+            elif id(t) not in seen:
+                seen.add(id(t))
+                stack.append((t, True))
+                stack.extend((p, False) for p in reversed(t._parents))
         for t in topo:
             t.grad = None
         self.grad = np.ones_like(self.data)
@@ -201,7 +203,7 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     c = x.dtype.type(math.sqrt(2.0 / math.pi))
     k = x.dtype.type(0.044715)
-    inner = c * (x + k * x ** 3)
+    inner = c * (x + k * (x * x * x))
     t = np.tanh(inner)
     out = Tensor(x.dtype.type(0.5) * x * (1.0 + t), (a,))
 

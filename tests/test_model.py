@@ -1,9 +1,11 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from neighborgen import tensor as T
+from neighborgen.cli import EXIT_DATA, cli
 from neighborgen.grid import GridShape, build_mask, build_schedule, target_table
 from neighborgen.model import (NEIGHBOR, RASTER, CheckpointError, KVCache,
                                ModelConfig, ModelParams, embed_condition,
@@ -231,8 +233,82 @@ class TestIncremental:
         with pytest.raises(ValueError):
             forward_incremental(p, embed_condition(p, np.array([0])), cache)
 
+    def test_pass_past_capacity_rejected(self):
+        cfg = small_config(dims=(2, 2))
+        p = init_model(cfg, 0)
+        cache = KVCache.empty(cfg)
+        assert cache.capacity == cfg.shape.num_tokens + 1
+        forward_incremental(p, embed_condition(p, np.array([0])), cache)
+        pos = list(cfg.shape.positions())
+        forward_incremental(p, embed_tokens(p, [0, 1, 2], pos[:3])[None],
+                            cache)
+        with pytest.raises(ValueError, match="capacity"):
+            forward_incremental(p, embed_tokens(p, [0, 1], pos[:2])[None],
+                                cache)
+        assert cache.length == 4 and cache.filled == [4] * len(cache.filled)
+        forward_incremental(p, embed_tokens(p, [3], pos[3:])[None], cache)
+        assert cache.length == cache.capacity
+
+
+def legacy_checkpoint(p: ModelParams) -> bytes:
+    """A NARCKPT1 file built by hand: the same payload as NARCKPT2, with a
+    u64 little-endian FNV-1a64 trailer instead of the CRC-32."""
+    cfg_bytes = p.config.to_json().encode("utf-8")
+    payload = len(cfg_bytes).to_bytes(4, "little") + cfg_bytes + b"".join(
+        p[name].data.astype("<f4").tobytes() for name, _ in param_shapes(p.config))
+    h = 0xCBF29CE484222325
+    for byte in payload:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return b"NARCKPT1" + payload + h.to_bytes(8, "little")
+
 
 class TestCheckpoint:
+    def test_format_is_crc32_narckpt2(self, tmp_path):
+        p = randomize(init_model(small_config(), 0), 9)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(p, path)
+        blob = path.read_bytes()
+        assert blob.startswith(b"NARCKPT2")
+        assert legacy_checkpoint(p)[8:-8] == blob[8:-4]
+        assert zlib.crc32(blob[8:-4]) == int.from_bytes(blob[-4:], "little")
+
+    def test_saves_are_byte_identical(self, tmp_path):
+        p = randomize(init_model(small_config(), 0), 9)
+        save_checkpoint(p, tmp_path / "a.ckpt")
+        save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"),
+                        tmp_path / "b.ckpt")
+        save_checkpoint(p, tmp_path / "c.ckpt")
+        a = (tmp_path / "a.ckpt").read_bytes()
+        assert a == (tmp_path / "b.ckpt").read_bytes()
+        assert a == (tmp_path / "c.ckpt").read_bytes()
+
+    def test_legacy_narckpt1_loads(self, tmp_path):
+        p = randomize(init_model(small_config(), 0), 9)
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(legacy_checkpoint(p))
+        q = load_checkpoint(path)
+        assert q.config == p.config
+        for k in p.tensors:
+            assert np.array_equal(p[k].data, q[k].data)
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_flipped_byte_rejected_in_both_formats(self, tmp_path, legacy,
+                                                   capsys):
+        p = randomize(init_model(small_config(), 0), 9)
+        path = tmp_path / "m.ckpt"
+        if legacy:
+            path.write_bytes(legacy_checkpoint(p))
+        else:
+            save_checkpoint(p, path)
+        good = path.read_bytes()
+        for i in (8, 40, len(good) // 2, len(good) - 1):
+            blob = bytearray(good)
+            blob[i] ^= 0x01
+            path.write_bytes(bytes(blob))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            assert cli(["inspect", "--ckpt", str(path)]) == EXIT_DATA
+
     def test_roundtrip(self, tmp_path):
         p = randomize(init_model(small_config(), 0), 9)
         path = tmp_path / "m.ckpt"

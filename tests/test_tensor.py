@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -228,3 +230,25 @@ class TestDeterminism:
             return T.gelu(T.matmul(x, w)).data
 
         assert np.array_equal(run(), run())
+
+
+class TestBackwardFreesGraph:
+    def test_activation_freed_without_cycle_collector(self):
+        # backward must leave no reference cycle holding the graph, so a
+        # step's activations are freed by reference counting alone
+        rng = np.random.default_rng(0)
+        x, w = rand(rng, 4, 8), rand(rng, 8, 8)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            h = T.gelu(T.matmul(x, w))
+            activation = weakref.ref(h.data)
+            loss = T.cross_entropy(h, np.arange(4))
+            del h
+            loss.backward()
+            del loss
+            assert activation() is None
+            assert w.grad is not None
+        finally:
+            if was_enabled:
+                gc.enable()

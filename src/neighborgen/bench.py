@@ -10,7 +10,7 @@ import json
 import resource
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .grid import GridShape, step_count
 from .model import NEIGHBOR, RASTER, ModelParams
@@ -74,10 +74,7 @@ def bench(params_nbr: ModelParams, params_raster: ModelParams,
             def one_run(seed_base):
                 passes = 0
                 for b in range(bs):
-                    cfg_b = SamplingConfig(
-                        temperature=config.temperature, top_k=config.top_k,
-                        cfg_scale=config.cfg_scale,
-                        seed=seed_base + b, greedy=config.greedy)
+                    cfg_b = replace(config, seed=seed_base + b)
                     _, stats = fn(params, b % params.config.num_classes,
                                   shape, cfg_b)
                     passes += stats.forward_passes

@@ -7,10 +7,9 @@ Exit codes: 0 success, 1 usage error, 2 data/checksum error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,13 +35,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NAR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _sampling_config(args) -> SamplingConfig:
@@ -142,22 +134,10 @@ def _cmd_generate(args) -> int:
     params = load_checkpoint(args.ckpt)
     shape = params.config.shape
     base = _sampling_config(args)
-
-    def run(i):
-        cfg = SamplingConfig(temperature=base.temperature, top_k=base.top_k,
-                             cfg_scale=base.cfg_scale, seed=base.seed + i,
-                             greedy=base.greedy)
-        if params.config.mode == NEIGHBOR:
-            return generate(params, args.class_id, shape, cfg)
-        return generate_raster(params, args.class_id, shape, cfg)
-
-    workers = min(_max_workers(), args.num)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(args.num)))
-    else:
-        results = [run(i) for i in range(args.num)]
-    for i, (grid, stats) in enumerate(results):
+    decode = generate if params.config.mode == NEIGHBOR else generate_raster
+    for i in range(args.num):
+        cfg = dataclasses.replace(base, seed=base.seed + i)
+        grid, stats = decode(params, args.class_id, shape, cfg)
         path = f"{args.out_prefix}_{i:04d}.tokens"
         save_tokens(path, grid)
         print(f"{path}: forward_passes={stats.forward_passes} "

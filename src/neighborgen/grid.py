@@ -110,15 +110,12 @@ class Schedule:
                lexicographic coordinates)
     step_of  : position -> step index (== its Manhattan distance)
     steps    : per step, a (start, length) run into `order`
-    predecessors : position -> [(source position, axis id)], the already
-               decoded axis-neighbors that predict this position
     """
 
     shape: GridShape
     order: tuple[Position, ...]
     step_of: dict[Position, int] = field(repr=False)
     steps: tuple[tuple[int, int], ...]
-    predecessors: dict[Position, list[tuple[Position, int]]] = field(repr=False)
 
     @property
     def num_steps(self) -> int:
@@ -153,14 +150,8 @@ def build_schedule(shape: GridShape) -> Schedule:
         length = sum(1 for _ in group)
         steps.append((start, length))
         start += length
-    preds = {p: predecessors(p, shape) for p in order}
-    return Schedule(
-        shape=shape,
-        order=order,
-        step_of=dist,
-        steps=tuple(steps),
-        predecessors=preds,
-    )
+    return Schedule(shape=shape, order=order, step_of=dist,
+                    steps=tuple(steps))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ numpy with a KV cache.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zlib
@@ -186,26 +187,62 @@ def _block_train(p: ModelParams, prefix: str, x: T.Tensor,
 
 
 class _SequenceLayout:
-    """Cached index arrays mapping a grid to its flattened sequence."""
+    """Where each grid position sits in the flattened sequence, and which
+    slot predicts which through which head.  Built once per shape, mode and
+    axis->head map, and shared read-only by training, evaluation and
+    generation.
 
-    def __init__(self, cfg: ModelConfig, order):
-        shape = cfg.shape
-        self.order = tuple(order)
-        self.raster_idx = np.array(
-            [int(np.ravel_multi_index(pos, shape.dims)) for pos in order],
-            dtype=np.int64,
-        )
-        self.coords = [np.array([pos[a] for pos in order], dtype=np.int64)
+    order, raster_idx, coords: the positions of slots 1..N, their raster
+    indices and their per-axis coordinates.
+    src, axis, head, tgt: one entry per route (source slot, grid axis,
+    decoding head, target slot).  In neighbor mode they are the target
+    table in its order; in raster mode slot i predicts slot i + 1 along
+    no single axis (axis -1).
+    by_head: per decoding head, its (src, tgt) routes in the same order.
+    """
+
+    def __init__(self, shape: GridShape, mode: str,
+                 axis_heads: tuple[int, ...]):
+        if mode == RASTER:
+            self.order = tuple(shape.positions())
+            slots = np.arange(shape.num_tokens + 1)
+            self.src, self.tgt = slots[:-1], slots[1:]
+            self.axis = np.full(shape.num_tokens, -1)
+        else:
+            schedule = build_schedule(shape)
+            self.order = schedule.order
+            self.src, self.axis, self.tgt = np.array(
+                target_table(schedule), dtype=np.int64).T.copy()
+        self.head = np.array(axis_heads)[self.axis]
+        self.raster_idx = np.ravel_multi_index(
+            np.array(self.order).T, shape.dims).astype(np.int64)
+        self.coords = [np.array([pos[a] for pos in self.order],
+                                dtype=np.int64)
                        for a in range(shape.ndim)]
+        self.by_head = tuple(
+            (self.src[self.head == h], self.tgt[self.head == h])
+            for h in range(max(axis_heads) + 1))
+        for a in (self.raster_idx, *self.coords, self.src, self.axis,
+                  self.head, self.tgt, *(a for pair in self.by_head
+                                         for a in pair)):
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_layout(shape: GridShape, mode: str, axis_heads: tuple[int, ...]):
+    return _SequenceLayout(shape, mode, axis_heads)
 
 
 def sequence_layout(cfg: ModelConfig, schedule: Schedule | None = None):
-    if cfg.mode == RASTER:
-        order = list(cfg.shape.positions())
-    else:
-        sched = schedule or build_schedule(cfg.shape)
-        order = sched.order
-    return _SequenceLayout(cfg, order)
+    """The shared, read-only layout of cfg's shape, mode and head map.
+
+    `schedule`, if given, must be the schedule of cfg.shape.
+    """
+    if schedule is not None and schedule.shape != cfg.shape:
+        raise ValueError(f"schedule shape {schedule.shape} != config "
+                         f"{cfg.shape}")
+    return _cached_layout(cfg.shape, cfg.mode, tuple(
+        cfg.head_for_axis(a) for a in range(cfg.shape.ndim)))
 
 
 def _embed_train(p: ModelParams, layout: _SequenceLayout,
@@ -237,17 +274,6 @@ def _backbone_and_heads(p: ModelParams, x: T.Tensor,
     return logits
 
 
-def _routes_by_head(cfg: ModelConfig, table):
-    """Group target-table routes by decoding head: (src slots, tgt slots)."""
-    by_head = [([], []) for _ in range(cfg.num_decode_heads)]
-    for src, axis, tgt in table:
-        h = cfg.head_for_axis(axis)
-        by_head[h][0].append(src)
-        by_head[h][1].append(tgt)
-    return [(np.array(s, dtype=np.int64), np.array(t, dtype=np.int64))
-            for s, t in by_head]
-
-
 def forward_train(p: ModelParams, grids: np.ndarray, class_ids: np.ndarray,
                   schedule: Schedule, mask: AttentionMask):
     """Training loss for "neighbor" mode over a batch of grids.
@@ -257,27 +283,10 @@ def forward_train(p: ModelParams, grids: np.ndarray, class_ids: np.ndarray,
     mean of cross-entropy over every (source, axis) route in the target
     table, including the condition->origin routes, across the batch.
     """
-    cfg = p.config
-    if cfg.mode != NEIGHBOR:
+    if p.config.mode != NEIGHBOR:
         raise ValueError("forward_train requires neighbor mode")
-    grids = np.asarray(grids)
-    single = grids.ndim == cfg.shape.ndim
-    if single:
-        grids = grids[None]
-        class_ids = np.atleast_1d(class_ids)
-    if grids.shape[1:] != cfg.shape.dims:
-        raise ValueError(f"grid shape {grids.shape[1:]} != config {cfg.shape.dims}")
-    if np.any(class_ids < 0) or np.any(class_ids > cfg.null_class):
-        raise ValueError("class id out of range")
-
-    layout = sequence_layout(cfg, schedule)
-    flat = grids.reshape(grids.shape[0], -1)
-    tokens_in_order = flat[:, layout.raster_idx]
-    x = _embed_train(p, layout, tokens_in_order, np.asarray(class_ids))
-    logits = _backbone_and_heads(p, x, mask.bias())
-    loss = _routed_loss(cfg, logits, tokens_in_order,
-                        _routes_by_head(cfg, target_table(schedule)))
-    return logits, loss
+    return _forward_routed(p, grids, class_ids, mask,
+                           sequence_layout(p.config, schedule))
 
 
 def raster_forward_train(p: ModelParams, grids: np.ndarray,
@@ -286,34 +295,35 @@ def raster_forward_train(p: ModelParams, grids: np.ndarray,
     cfg = p.config
     if cfg.mode != RASTER:
         raise ValueError("raster_forward_train requires raster mode")
+    return _forward_routed(p, grids, class_ids,
+                           build_raster_mask(cfg.shape.num_tokens),
+                           sequence_layout(cfg))
+
+
+def _forward_routed(p: ModelParams, grids, class_ids, mask: AttentionMask,
+                    layout: _SequenceLayout):
+    """Embed, run backbone and heads, and average the cross-entropy over
+    the layout's routes, head by head."""
+    cfg = p.config
     grids = np.asarray(grids)
+    class_ids = np.asarray(class_ids)
     if grids.ndim == cfg.shape.ndim:
         grids = grids[None]
         class_ids = np.atleast_1d(class_ids)
     if grids.shape[1:] != cfg.shape.dims:
         raise ValueError(f"grid shape {grids.shape[1:]} != config {cfg.shape.dims}")
-    layout = sequence_layout(cfg)
-    tokens = grids.reshape(grids.shape[0], -1)
-    mask = build_raster_mask(cfg.shape.num_tokens)
-    x = _embed_train(p, layout, tokens, np.asarray(class_ids))
+    if np.any(class_ids < 0) or np.any(class_ids > cfg.null_class):
+        raise ValueError("class id out of range")
+    tokens = grids.reshape(grids.shape[0], -1)[:, layout.raster_idx]
+    x = _embed_train(p, layout, tokens, class_ids)
     logits = _backbone_and_heads(p, x, mask.bias())
-    n = cfg.shape.num_tokens
-    # slot i predicts token i (slot 0 is the condition)
-    routes = [(np.arange(n, dtype=np.int64), np.arange(1, n + 1, dtype=np.int64))]
-    loss = _routed_loss(cfg, logits, tokens, routes)
-    return logits, loss
-
-
-def _routed_loss(cfg, logits, tokens_in_order, routes):
     parts, targets = [], []
-    for h, (src, tgt) in enumerate(routes):
-        if len(src) == 0:
-            continue
-        sel = T.take(logits[h], src, axis=1)  # (B, Th, V)
+    for h, (src, tgt) in enumerate(layout.by_head):
+        sel = T.take(logits[h], src, axis=1)  # (B, routes, V)
         parts.append(T.reshape(sel, (-1, cfg.vocab_size)))
-        targets.append(tokens_in_order[:, tgt - 1].reshape(-1))
+        targets.append(tokens[:, tgt - 1].reshape(-1))
     stacked = T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
-    return T.cross_entropy(stacked, np.concatenate(targets))
+    return logits, T.cross_entropy(stacked, np.concatenate(targets))
 
 
 # ---------------------------------------------------------------------------

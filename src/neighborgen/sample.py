@@ -10,9 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridShape, build_schedule, step_count, target_table
+# build_schedule is unused here but stays bound: perfbench/tracing.py wraps
+# sample.build_schedule
+from .grid import GridShape, build_schedule, step_count  # noqa: F401
 from .model import (NEIGHBOR, RASTER, KVCache, ModelParams, embed_condition,
-                    embed_tokens, forward_incremental)
+                    embed_tokens, forward_incremental, sequence_layout)
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,11 @@ def sample_token(logits: np.ndarray, config: SamplingConfig, rng) -> int:
         raise ValueError("non-finite logits")
     if config.greedy or config.top_k == 1:
         return int(logits.argmax())
-    x = logits / config.temperature
+    # shifted first, so a tiny temperature sends the rest to -inf, not NaN
+    x = (logits - logits.max()) / config.temperature
     if 0 < config.top_k < len(x):
         kth = np.partition(x, -config.top_k)[-config.top_k]
         x = np.where(x < kth, -np.inf, x)
-    x -= x.max()
     p = np.exp(x)
     p /= p.sum()
     u = rng.random()
@@ -125,32 +127,37 @@ class _StepPlan:
 
 
 @functools.lru_cache(maxsize=8)
-def _wavefront_plan(shape: GridShape, axis_heads: tuple[int, ...]):
-    """One `_StepPlan` per schedule step, built once per shape and head map.
+def _wavefront_plan(layout):
+    """One `_StepPlan` per schedule step, built once per sequence layout.
 
     Pass 0 feeds the condition slot, which predicts the origin through every
     axis; pass s >= 1 feeds the step-(s-1) tokens, whose routes predict the
     step-s positions.
     """
-    schedule = build_schedule(shape)
-    starts = [start for start, _ in schedule.steps]
-    routes = [[] for _ in schedule.steps]
-    seen: dict[int, int] = {}
-    for src, axis, tgt in target_table(schedule):
-        s = schedule.step_of[schedule.order[tgt - 1]]
-        source = 0 if src == 0 else src - 1 - starts[s - 1]
-        rank = seen.get(tgt, 0)
-        seen[tgt] = rank + 1
-        routes[s].append((axis_heads[axis], source, tgt - 1 - starts[s], rank))
+    step = sum(layout.coords)  # of each token slot: its Manhattan distance
+    starts = np.flatnonzero(np.diff(step, prepend=-1))
+    tgt = layout.tgt - 1
+    tgt_step = step[tgt]
+    # each source is a slot of the previous pass; the condition is pass 0
+    sources = np.where(layout.src == 0, 0,
+                       layout.src - 1 - starts[tgt_step - 1])
+    targets = tgt - starts[tgt_step]
+    # a target's r-th route in table order is its r-th contribution
+    by_target = np.argsort(tgt, kind="stable")
+    grouped = tgt[by_target]
+    ranks = np.empty_like(tgt)
+    ranks[by_target] = np.arange(tgt.size) - np.searchsorted(grouped, grouped)
     plan = []
-    for s, step_routes in enumerate(routes):
-        heads, sources, tgts, ranks = np.array(step_routes, dtype=np.int64).T
-        positions = schedule.step_positions(s)
-        flat = np.ravel_multi_index(np.array(positions).T, shape.dims)
-        by_rank = tuple((np.flatnonzero(ranks == r), tgts[ranks == r])
-                        for r in range(int(ranks.max()) + 1))
-        plan.append(_StepPlan(positions, flat, heads, sources, by_rank,
-                              np.bincount(tgts).astype(np.float64)))
+    ends = np.append(starts[1:], step.size)
+    for s, (start, end) in enumerate(zip(starts, ends)):
+        ids = np.flatnonzero(tgt_step == s)
+        heads, srcs, tgts, rank = (layout.head[ids], sources[ids],
+                                   targets[ids], ranks[ids])
+        by_rank = tuple((np.flatnonzero(rank == r), tgts[rank == r])
+                        for r in range(int(rank.max()) + 1))
+        plan.append(_StepPlan(layout.order[start:end],
+                              layout.raster_idx[start:end], heads, srcs,
+                              by_rank, np.bincount(tgts).astype(np.float64)))
     return tuple(plan)
 
 
@@ -173,8 +180,7 @@ def generate(params: ModelParams, class_id: int, shape: GridShape,
         raise ValueError(f"shape {shape} does not match model shape {cfg.shape}")
     if not (0 <= class_id < cfg.num_classes):
         raise ValueError("class id out of range")
-    plan = _wavefront_plan(shape, tuple(cfg.head_for_axis(a)
-                                        for a in range(shape.ndim)))
+    plan = _wavefront_plan(sequence_layout(cfg))
     use_cfg = config.cfg_scale != 1.0
     class_ids = [class_id, cfg.null_class] if use_cfg else [class_id]
 
@@ -245,9 +251,9 @@ def generate_raster(params: ModelParams, class_id: int, shape: GridShape,
         t0 = time.perf_counter()
         logits = forward_incremental(params, x, cache)
         stats.forward_passes += 1
-        grid[pos] = sample_token(
-            guided(logits[0]), config,
-            _pos_rng(config.seed, i, _flat(pos, shape)))
+        # raster index i is position i's flat index
+        grid[pos] = sample_token(guided(logits[0]), config,
+                                 _pos_rng(config.seed, i, i))
         stats.tokens_generated += 1
         stats.step_wall_ms.append((time.perf_counter() - t0) * 1000)
         if i + 1 < len(order):
@@ -258,6 +264,3 @@ def generate_raster(params: ModelParams, class_id: int, shape: GridShape,
                            f"expected {shape.num_tokens}")
     return grid, stats
 
-
-def _flat(pos, shape: GridShape) -> int:
-    return int(np.ravel_multi_index(pos, shape.dims))

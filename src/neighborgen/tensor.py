@@ -56,16 +56,6 @@ class Tensor:
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
 
-    # Convenience arithmetic used by model code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
     """Lazily accumulate a gradient contribution into t.grad."""
@@ -97,17 +87,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         _acc(a, _unbroadcast(g, a.data.shape))
         _acc(b, _unbroadcast(g, b.data.shape))
-
-    out._backward = bw
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, (a, b))
-
-    def bw(g):
-        _acc(a, _unbroadcast(g * b.data, a.data.shape))
-        _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     out._backward = bw
     return out

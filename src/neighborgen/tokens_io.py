@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -47,11 +48,16 @@ def grid_to_json(grid: np.ndarray, vocab_size: int, class_id: int,
 def grid_from_json(text: str):
     """Returns (grid, header dict without the token payload)."""
     d = json.loads(text)
-    shape = tuple(d["shape"])
-    raw = base64.b64decode(d["tokens_b64"])
-    grid = np.frombuffer(raw, dtype="<u2")
-    if grid.size != int(np.prod(shape)):
+    try:
+        shape = tuple(int(n) for n in d["shape"])
+        raw = base64.b64decode(d["tokens_b64"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise TokenFormatError(f"malformed token JSON: {e!r}") from None
+    if len(shape) not in (2, 3) or min(shape) < 1:
+        raise TokenFormatError(f"bad shape {list(shape)}")
+    if len(raw) != 2 * math.prod(shape):
         raise TokenFormatError("token payload does not match shape")
+    grid = np.frombuffer(raw, dtype="<u2")
     header = {k: v for k, v in d.items() if k != "tokens_b64"}
     return grid.reshape(shape).astype(np.int64), header
 
@@ -80,7 +86,9 @@ def load_tokens(path) -> np.ndarray:
     for _ in range(ndim):
         dims.append(int.from_bytes(blob[off:off + 4], "little"))
         off += 4
-    n = int(np.prod(dims))
+    if 0 in dims:
+        raise TokenFormatError(f"zero dimension in {dims}")
+    n = math.prod(dims)
     payload = blob[off:]
     if len(payload) != 2 * n:
         raise TokenFormatError("payload size does not match dims")

@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .data import SyntheticSpec, gen_synthetic
-from .grid import build_mask, build_raster_mask, build_schedule, target_table
+from .grid import build_mask, build_raster_mask, build_schedule
 from .model import (NEIGHBOR, RASTER, ModelConfig, ModelParams, forward_train,
                     infer_logits, init_model, raster_forward_train,
                     sequence_layout)
@@ -74,6 +74,15 @@ def make_dataset(spec: SyntheticSpec, num: int, split: str, rng):
             for i, c in enumerate(classes)]
 
 
+def _splits(config: TrainConfig):
+    """(train set, eval set, rng): the splits `train_loop` trains and
+    evaluates on, and the generator it then draws its batches from."""
+    rng = np.random.default_rng([config.seed, 17])
+    train_set = make_dataset(config.data, config.num_train_samples, "train", rng)
+    eval_set = make_dataset(config.data, config.num_eval_samples, "eval", rng)
+    return train_set, eval_set, rng
+
+
 def _loss_fn(params: ModelParams, grids, classes, schedule, mask):
     if params.config.mode == RASTER:
         _, loss = raster_forward_train(params, grids, classes)
@@ -94,9 +103,7 @@ def train_loop(config: TrainConfig, log=None):
     schedule = build_schedule(cfg.shape) if cfg.mode == NEIGHBOR else None
     mask = build_mask(schedule) if schedule is not None else None
 
-    rng = np.random.default_rng([config.seed, 17])
-    train_set = make_dataset(config.data, config.num_train_samples, "train", rng)
-    eval_set = make_dataset(config.data, config.num_eval_samples, "eval", rng)
+    train_set, eval_set, rng = _splits(config)
 
     state = T.AdamState()
     metrics: list[MetricPoint] = []
@@ -138,21 +145,6 @@ def train_loop(config: TrainConfig, log=None):
     return params, metrics
 
 
-def _eval_routes(cfg: ModelConfig, schedule):
-    if cfg.mode == RASTER:
-        n = cfg.shape.num_tokens
-        return [(0, np.arange(n), np.arange(1, n + 1))]
-    routes = []
-    for src, axis, tgt in target_table(schedule):
-        routes.append((cfg.head_for_axis(axis), src, tgt))
-    by_head = {}
-    for h, s, t in routes:
-        by_head.setdefault(h, ([], []))
-        by_head[h][0].append(s)
-        by_head[h][1].append(t)
-    return [(h, np.array(s), np.array(t)) for h, (s, t) in by_head.items()]
-
-
 def eval_nll(params: ModelParams, dataset, batch_size: int = 16) -> float:
     """Mean cross-entropy in nats per predicted target.
 
@@ -166,7 +158,6 @@ def eval_nll(params: ModelParams, dataset, batch_size: int = 16) -> float:
     mask = (build_mask(schedule) if schedule is not None
             else build_raster_mask(cfg.shape.num_tokens))
     layout = sequence_layout(cfg, schedule)
-    routes = _eval_routes(cfg, schedule)
     total = 0.0
     terms = 0
     for start in range(0, len(dataset), batch_size):
@@ -176,7 +167,7 @@ def eval_nll(params: ModelParams, dataset, batch_size: int = 16) -> float:
         flat = grids.reshape(len(chunk), -1)
         tokens = flat[:, layout.raster_idx]
         logits = infer_logits(params, tokens, classes, mask, layout)
-        for h, src, tgt in routes:
+        for h, (src, tgt) in enumerate(layout.by_head):
             lp = log_softmax(logits[h][:, src, :].astype(np.float64))
             tok = tokens[:, tgt - 1]
             rows = np.arange(len(chunk))[:, None]
@@ -186,7 +177,7 @@ def eval_nll(params: ModelParams, dataset, batch_size: int = 16) -> float:
 
 
 def overlap_nll(params: ModelParams, dataset, batch_size: int = 16):
-    """NLL restricted to overlapped targets (>= 2 predecessor contributions).
+    """NLL restricted to overlapped targets (a predecessor on every axis).
 
     Returns {"mixed": nll, "per_axis": [nll per axis head]}, where "mixed"
     renormalizes the log-domain mean of the contributions and each per-axis
@@ -200,18 +191,9 @@ def overlap_nll(params: ModelParams, dataset, batch_size: int = 16):
     layout = sequence_layout(cfg, schedule)
     ndim = cfg.shape.ndim
 
-    # overlapped target slots and their per-axis source slots
-    contribs = {}
-    for src, axis, tgt in target_table(schedule):
-        if src == 0:
-            continue
-        contribs.setdefault(tgt, {})[axis] = src
-    overlapped = sorted(t for t, c in contribs.items() if len(c) == ndim)
-    if not overlapped:
+    tgt_arr, src_by_axis = _overlapped_targets(layout)
+    if tgt_arr.size == 0:
         raise ValueError("grid has no overlapped targets")
-    src_by_axis = [np.array([contribs[t][a] for t in overlapped])
-                   for a in range(ndim)]
-    tgt_arr = np.array(overlapped)
 
     total_mixed = 0.0
     total_axis = np.zeros(ndim)
@@ -224,7 +206,7 @@ def overlap_nll(params: ModelParams, dataset, batch_size: int = 16):
         logits = infer_logits(params, tokens, classes, mask, layout)
         tok = tokens[:, tgt_arr - 1]
         rows = np.arange(len(chunk))[:, None]
-        cols = np.arange(len(overlapped))[None, :]
+        cols = np.arange(tgt_arr.size)[None, :]
         lps = []
         for a in range(ndim):
             lp = log_softmax(
@@ -240,6 +222,17 @@ def overlap_nll(params: ModelParams, dataset, batch_size: int = 16):
             "per_axis": list(total_axis / terms)}
 
 
+def _overlapped_targets(layout):
+    """Target slots with a non-condition route on every axis, ascending,
+    and their source slots as an (axis, target) array."""
+    inner = layout.src != 0
+    src_of = np.zeros((len(layout.coords), layout.raster_idx.size + 1),
+                      dtype=np.int64)
+    src_of[layout.axis[inner], layout.tgt[inner]] = layout.src[inner]
+    targets = np.flatnonzero((src_of != 0).all(axis=0))
+    return targets, src_of[:, targets]
+
+
 def _logsumexp(x):
     m = x.max(axis=-1, keepdims=True)
     return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
@@ -253,29 +246,14 @@ def ablate_single_head(config: TrainConfig, log=None):
     """
     if config.model.mode != NEIGHBOR:
         raise ValueError("ablation requires a neighbor-mode config")
+    _, eval_set, _ = _splits(config)
     results = {}
     traces = {}
     for name, shared in (("dimension_heads", False), ("single_head", True)):
-        mcfg = ModelConfig(**{**_cfg_dict(config.model), "shared_head": shared})
-        run_cfg = TrainConfig(**{**_train_dict(config), "model": mcfg})
+        run_cfg = replace(config,
+                          model=replace(config.model, shared_head=shared))
         params, metrics = train_loop(run_cfg, log=log)
-        eval_rng = np.random.default_rng([config.seed, 17])
-        _ = make_dataset(config.data, config.num_train_samples, "train", eval_rng)
-        eval_set = make_dataset(config.data, config.num_eval_samples, "eval",
-                                eval_rng)
         results[name] = eval_nll(params, eval_set)
         traces[name] = metrics
     return results, traces
 
-
-def _cfg_dict(cfg: ModelConfig):
-    d = asdict(cfg)
-    d["shape"] = cfg.shape
-    return d
-
-
-def _train_dict(cfg: TrainConfig):
-    d = asdict(cfg)
-    d["model"] = cfg.model
-    d["data"] = cfg.data
-    return d

@@ -48,6 +48,23 @@ class TestTokensIO:
             load_tokens(path)
 
 
+    @pytest.mark.parametrize("text", [
+        "{}", "[1]", '{"shape": [], "tokens_b64": "AAA="}',
+        '{"shape": [0, 5], "tokens_b64": ""}'])
+    def test_malformed_json_is_format_error(self, text):
+        with pytest.raises(TokenFormatError):
+            grid_from_json(text)
+
+    def test_zero_dimension_rejected(self, tmp_path, capsys):
+        path = tmp_path / "z.tokens"
+        save_tokens(path, np.zeros((0, 5), np.int64))
+        with pytest.raises(TokenFormatError):
+            load_tokens(path)
+        out = str(tmp_path / "z.ppm")
+        assert cli(["render", "--input", str(path), "--out", out]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+
 class TestRender:
     def test_pixel_payload_size(self):
         palette = Palette.make(4)

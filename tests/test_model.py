@@ -158,6 +158,57 @@ class TestForwardTrain:
         assert T.grad_check(f, p.tensors, n_samples=48) < 1e-4
 
 
+class TestSequenceLayout:
+    @pytest.mark.parametrize("dims,shared", [((3, 4), False),
+                                             ((2, 3, 3), False),
+                                             ((2, 3, 3), True)])
+    def test_routes_are_the_target_table(self, dims, shared):
+        cfg = small_config(dims=dims, shared_head=shared)
+        layout = sequence_layout(cfg)
+        table = target_table(build_schedule(cfg.shape))
+        routes = list(zip(layout.src.tolist(), layout.axis.tolist(),
+                          layout.head.tolist(), layout.tgt.tolist()))
+        assert routes == [(s, a, cfg.head_for_axis(a), t) for s, a, t in table]
+        assert len(layout.by_head) == cfg.num_decode_heads
+        for h, (src, tgt) in enumerate(layout.by_head):
+            assert list(zip(src.tolist(), tgt.tolist())) == [
+                (s, t) for s, a, t in table if cfg.head_for_axis(a) == h]
+
+    def test_raster_routes_are_the_causal_chain(self):
+        cfg = small_config(mode=RASTER, dims=(3, 4))
+        layout = sequence_layout(cfg)
+        n = cfg.shape.num_tokens
+        assert layout.raster_idx.tolist() == list(range(n))
+        assert layout.src.tolist() == list(range(n))
+        assert layout.tgt.tolist() == list(range(1, n + 1))
+        assert set(layout.head.tolist()) == {0}
+        assert set(layout.axis.tolist()) == {-1}
+        src, tgt = layout.by_head[0]
+        assert len(layout.by_head) == 1
+        assert src.tolist() == list(range(n))
+        assert tgt.tolist() == list(range(1, n + 1))
+
+    def test_equal_configs_share_one_read_only_layout(self):
+        cfg = small_config(dims=(3, 4))
+        layout = sequence_layout(cfg)
+        assert sequence_layout(small_config(dims=(3, 4))) is layout
+        assert sequence_layout(cfg, build_schedule(cfg.shape)) is layout
+        # routes do not depend on the model's width
+        assert sequence_layout(small_config(dims=(3, 4), embed_dim=8)) is layout
+        assert sequence_layout(
+            small_config(dims=(3, 4), shared_head=True)) is not layout
+        assert sequence_layout(small_config(mode=RASTER, dims=(3, 4))) \
+            is not layout
+        arrays = [layout.raster_idx, *layout.coords, layout.src, layout.axis,
+                  layout.head, layout.tgt,
+                  *(a for pair in layout.by_head for a in pair)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
+        with pytest.raises(ValueError):
+            sequence_layout(cfg, build_schedule(GridShape((4, 3))))
+
+
 class TestMaskEquivalence:
     def test_disallowed_perturbation_leaves_logits_unchanged(self):
         cfg = small_config(dims=(4, 4))

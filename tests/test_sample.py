@@ -101,6 +101,15 @@ class TestSampleToken:
             sample_token(np.array([0.0, np.inf]), SamplingConfig(),
                          np.random.default_rng(0))
 
+    def test_tiny_temperature_reaches_argmax(self):
+        cfg = SamplingConfig(temperature=1e-308)
+        logits = np.array([1.0, 5.0, 3.0])
+        # the other logits overflow to -inf; nothing may become NaN
+        with np.errstate(invalid="raise", over="ignore"):
+            for seed in range(5):
+                assert sample_token(logits, cfg,
+                                    np.random.default_rng(seed)) == 1
+
 
 class TestGenerate:
     def test_forward_pass_counts(self):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from neighborgen.data import SHAPES, SyntheticSpec
-from neighborgen.grid import GridShape, build_schedule, target_table
-from neighborgen.model import RASTER, ModelConfig, init_model
-from neighborgen.train import (TrainConfig, ablate_single_head, eval_nll,
-                               make_dataset, overlap_nll, train_loop)
+from neighborgen.grid import (GridShape, build_schedule, predecessors,
+                             target_table)
+from neighborgen.model import RASTER, ModelConfig, init_model, sequence_layout
+from neighborgen.train import (TrainConfig, _overlapped_targets,
+                               ablate_single_head, eval_nll, make_dataset,
+                               overlap_nll, train_loop)
 
 
 def tiny_train_config(mode="neighbor", dims=(4, 4), steps=0, **kw):
@@ -138,3 +140,19 @@ class TestOverlapNll:
         assert abs(out["mixed"] - math.log(4)) < 1e-6
         for v in out["per_axis"]:
             assert abs(v - math.log(4)) < 1e-6
+
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 3, 3)])
+    def test_overlapped_targets_match_predecessors(self, dims):
+        cfg = tiny_train_config(dims=dims).model
+        shape = cfg.shape
+        expected = {}
+        for p in shape.positions():
+            preds = predecessors(p, shape)
+            if len(preds) == shape.ndim:
+                expected[p] = {axis: q for q, axis in preds}
+        layout = sequence_layout(cfg)
+        targets, sources = _overlapped_targets(layout)
+        got = {layout.order[t - 1]: {a: layout.order[s - 1]
+                                     for a, s in enumerate(sources[:, i])}
+               for i, t in enumerate(targets)}
+        assert got == expected

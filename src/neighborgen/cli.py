@@ -11,8 +11,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .bench import bench
 from .grid import (GridShape, build_mask, build_raster_mask, build_schedule,
                    serialize_mask, serialize_schedule, step_count)
@@ -113,8 +111,12 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    with open(args.config) as f:
-        config = TrainConfig.from_json(f.read())
+    try:
+        with open(args.config) as f:
+            config = TrainConfig.from_json(f.read())
+    except (KeyError, TypeError, ValueError) as e:
+        print(f"data error: bad train config: {e!r}", file=sys.stderr)
+        return EXIT_DATA
     sink = open(args.metrics, "w") if args.metrics else None
     try:
         def log(line):
@@ -204,10 +206,8 @@ def cli(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (CheckpointError, TokenFormatError, json.JSONDecodeError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as e:
+    except (CheckpointError, TokenFormatError, json.JSONDecodeError,
+            FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as e:

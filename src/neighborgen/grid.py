@@ -173,6 +173,13 @@ class AttentionMask:
         return np.where(self.allow, dtype(0), dtype(-1e9))
 
 
+def _wavefront_mask(step: np.ndarray) -> AttentionMask:
+    """Slot k is visible from slot q iff step[k] <= step[q], over
+    [condition] ++ token slots with the condition slot at step -1."""
+    step = np.concatenate([[-1], step])
+    return AttentionMask(size=step.size, allow=step[None, :] <= step[:, None])
+
+
 def build_mask(schedule: Schedule) -> AttentionMask:
     """Proximity-aware mask: causal across steps, bidirectional within one.
 
@@ -180,24 +187,13 @@ def build_mask(schedule: Schedule) -> AttentionMask:
     attends the condition slot and all token slots at an earlier-or-equal
     step.
     """
-    n = len(schedule.order)
-    size = n + 1
-    step = np.empty(n, dtype=np.int64)
-    for i, p in enumerate(schedule.order):
-        step[i] = schedule.step_of[p]
-    allow = np.zeros((size, size), dtype=bool)
-    allow[0, 0] = True
-    allow[1:, 0] = True
-    allow[1:, 1:] = step[None, :] <= step[:, None]
-    return AttentionMask(size=size, allow=allow)
+    return _wavefront_mask(np.array([schedule.step_of[p]
+                                     for p in schedule.order], dtype=np.int64))
 
 
 def build_raster_mask(num_tokens: int) -> AttentionMask:
     """Standard causal mask over [condition] ++ raster order (baseline)."""
-    size = num_tokens + 1
-    allow = np.tril(np.ones((size, size), dtype=bool))
-    allow[0, 1:] = False
-    return AttentionMask(size=size, allow=allow)
+    return _wavefront_mask(np.arange(num_tokens))
 
 
 def target_table(schedule: Schedule) -> list[tuple[int, int, int]]:

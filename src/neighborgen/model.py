@@ -42,7 +42,6 @@ class ModelConfig:
     shape: GridShape
     mode: str = NEIGHBOR
     shared_head: bool = False  # ablation: one head serves every axis
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.mode not in (NEIGHBOR, RASTER):
@@ -79,6 +78,9 @@ class ModelConfig:
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
         d = json.loads(text)
+        # older configs carry the never-used "dropout": 0.0
+        if d.pop("dropout", 0.0) != 0.0:
+            raise ValueError("dropout is not supported")
         d["shape"] = GridShape(tuple(d["shape"]))
         return cls(**d)
 
@@ -192,8 +194,11 @@ class _SequenceLayout:
     axis->head map, and shared read-only by training, evaluation and
     generation.
 
-    order, raster_idx, coords: the positions of slots 1..N, their raster
-    indices and their per-axis coordinates.
+    schedule: the near-to-far schedule of the slots (None in raster mode).
+    order, raster_idx, coords, step: the positions of slots 1..N, their
+    raster indices, their per-axis coordinates and their wavefronts (the
+    Manhattan distance; the raster index in raster mode).  `mask` lets a
+    slot see every slot of an earlier or equal wavefront.
     src, axis, head, tgt: one entry per route (source slot, grid axis,
     decoding head, target slot).  In neighbor mode they are the target
     table in its order; in raster mode slot i predicts slot i + 1 along
@@ -204,28 +209,35 @@ class _SequenceLayout:
     def __init__(self, shape: GridShape, mode: str,
                  axis_heads: tuple[int, ...]):
         if mode == RASTER:
+            self.schedule = None
             self.order = tuple(shape.positions())
             slots = np.arange(shape.num_tokens + 1)
             self.src, self.tgt = slots[:-1], slots[1:]
             self.axis = np.full(shape.num_tokens, -1)
         else:
-            schedule = build_schedule(shape)
-            self.order = schedule.order
+            self.schedule = build_schedule(shape)
+            self.order = self.schedule.order
             self.src, self.axis, self.tgt = np.array(
-                target_table(schedule), dtype=np.int64).T.copy()
+                target_table(self.schedule), dtype=np.int64).T.copy()
         self.head = np.array(axis_heads)[self.axis]
-        self.raster_idx = np.ravel_multi_index(
-            np.array(self.order).T, shape.dims).astype(np.int64)
-        self.coords = [np.array([pos[a] for pos in self.order],
-                                dtype=np.int64)
-                       for a in range(shape.ndim)]
+        self.coords = list(np.array(self.order, dtype=np.int64).T)
+        self.raster_idx = np.ravel_multi_index(self.coords, shape.dims)
+        self.step = self.raster_idx if mode == RASTER else sum(self.coords)
         self.by_head = tuple(
             (self.src[self.head == h], self.tgt[self.head == h])
             for h in range(max(axis_heads) + 1))
-        for a in (self.raster_idx, *self.coords, self.src, self.axis,
-                  self.head, self.tgt, *(a for pair in self.by_head
-                                         for a in pair)):
+        for a in (*self.coords, self.raster_idx, self.step, self.src,
+                  self.axis, self.head, self.tgt,
+                  *(a for pair in self.by_head for a in pair)):
             a.flags.writeable = False
+
+    @functools.cached_property
+    def mask(self) -> AttentionMask:
+        """The mode's attention mask, built on first use."""
+        mask = (build_raster_mask(self.step.size) if self.schedule is None
+                else build_mask(self.schedule))
+        mask.allow.flags.writeable = False
+        return mask
 
 
 @functools.lru_cache(maxsize=16)
@@ -285,8 +297,10 @@ def forward_train(p: ModelParams, grids: np.ndarray, class_ids: np.ndarray,
     """
     if p.config.mode != NEIGHBOR:
         raise ValueError("forward_train requires neighbor mode")
-    return _forward_routed(p, grids, class_ids, mask,
-                           sequence_layout(p.config, schedule))
+    layout = sequence_layout(p.config, schedule)
+    if not np.array_equal(mask.allow, layout.mask.allow):
+        raise ValueError("mask does not belong to the model's schedule")
+    return _forward_routed(p, grids, class_ids, layout)
 
 
 def raster_forward_train(p: ModelParams, grids: np.ndarray,
@@ -295,15 +309,13 @@ def raster_forward_train(p: ModelParams, grids: np.ndarray,
     cfg = p.config
     if cfg.mode != RASTER:
         raise ValueError("raster_forward_train requires raster mode")
-    return _forward_routed(p, grids, class_ids,
-                           build_raster_mask(cfg.shape.num_tokens),
-                           sequence_layout(cfg))
+    return _forward_routed(p, grids, class_ids, sequence_layout(cfg))
 
 
-def _forward_routed(p: ModelParams, grids, class_ids, mask: AttentionMask,
+def _forward_routed(p: ModelParams, grids, class_ids,
                     layout: _SequenceLayout):
-    """Embed, run backbone and heads, and average the cross-entropy over
-    the layout's routes, head by head."""
+    """Embed, run backbone and heads under the layout's mask, and average
+    the cross-entropy over the layout's routes, head by head."""
     cfg = p.config
     grids = np.asarray(grids)
     class_ids = np.asarray(class_ids)
@@ -316,7 +328,7 @@ def _forward_routed(p: ModelParams, grids, class_ids, mask: AttentionMask,
         raise ValueError("class id out of range")
     tokens = grids.reshape(grids.shape[0], -1)[:, layout.raster_idx]
     x = _embed_train(p, layout, tokens, class_ids)
-    logits = _backbone_and_heads(p, x, mask.bias())
+    logits = _backbone_and_heads(p, x, layout.mask.bias())
     parts, targets = [], []
     for h, (src, tgt) in enumerate(layout.by_head):
         sel = T.take(logits[h], src, axis=1)  # (B, routes, V)
@@ -437,21 +449,19 @@ def embed_tokens(p: ModelParams, token_ids: np.ndarray,
     """Embeddings for token ids at explicit grid positions: (B, m, D)."""
     arr = p.arrays()
     e = arr["tok_emb"][np.asarray(token_ids)]
-    for a in range(p.config.shape.ndim):
-        coords = np.array([pos[a] for pos in positions], dtype=np.int64)
+    for a, coords in enumerate(np.array(positions, dtype=np.int64).T):
         e = e + arr[f"pos{a}"][coords]
     return e
 
 
 def forward_incremental(p: ModelParams, new_embeds: np.ndarray,
-                        cache: KVCache, bias=None) -> list[np.ndarray]:
+                        cache: KVCache) -> list[np.ndarray]:
     """Process m new slots against the cache; return per-head logits.
 
     new_embeds: (B, m, D), all slots belonging to one schedule step;
     attention is bidirectional among them and causal to the cache, so no
-    mask is needed unless `bias` explicitly overrides.  Extends the cache;
-    raises ValueError if its bookkeeping is out of step or the new slots
-    would pass its capacity.
+    mask is needed.  Extends the cache; raises ValueError if its
+    bookkeeping is out of step or the new slots would pass its capacity.
     """
     cfg = p.config
     if new_embeds.ndim != 3 or new_embeds.shape[1] == 0:
@@ -466,7 +476,7 @@ def forward_incremental(p: ModelParams, new_embeds: np.ndarray,
             cache.keys[0].shape[0] != new_embeds.shape[0]:
         raise ValueError("row count differs from the cached rows")
     logits = _infer_blocks(p.arrays(), cfg, new_embeds.astype(np.float32),
-                           bias, cache)
+                           cache=cache)
     cache.length += m
     return logits
 
@@ -479,15 +489,10 @@ def infer_logits(p: ModelParams, tokens_in_order: np.ndarray,
     Used for evaluation and as the full-recompute oracle against the KV
     cache path.
     """
-    cfg = p.config
-    arr = p.arrays()
-    layout = layout or sequence_layout(cfg)
-    tok = arr["tok_emb"][tokens_in_order]
-    for a in range(cfg.shape.ndim):
-        tok = tok + arr[f"pos{a}"][layout.coords[a]]
-    cond = (arr["cls_emb"][np.asarray(class_ids)] + arr["cond_pos"])[:, None, :]
-    return _infer_blocks(arr, cfg, np.concatenate([cond, tok], axis=1),
-                         mask.bias())
+    layout = layout or sequence_layout(p.config)
+    x = np.concatenate([embed_condition(p, class_ids),
+                        embed_tokens(p, tokens_in_order, layout.order)], axis=1)
+    return _infer_blocks(p.arrays(), p.config, x, mask.bias())
 
 
 # ---------------------------------------------------------------------------

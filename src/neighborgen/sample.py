@@ -134,7 +134,7 @@ def _wavefront_plan(layout):
     axis; pass s >= 1 feeds the step-(s-1) tokens, whose routes predict the
     step-s positions.
     """
-    step = sum(layout.coords)  # of each token slot: its Manhattan distance
+    step = layout.step
     starts = np.flatnonzero(np.diff(step, prepend=-1))
     tgt = layout.tgt - 1
     tgt_step = step[tgt]

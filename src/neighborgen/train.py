@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import SyntheticSpec, gen_synthetic
-from .grid import build_mask, build_raster_mask, build_schedule
+from .grid import build_schedule  # noqa: F401 (perfbench/tracing.py wraps it)
 from .model import (NEIGHBOR, RASTER, ModelConfig, ModelParams, forward_train,
                     infer_logits, init_model, raster_forward_train,
                     sequence_layout)
@@ -83,14 +83,6 @@ def _splits(config: TrainConfig):
     return train_set, eval_set, rng
 
 
-def _loss_fn(params: ModelParams, grids, classes, schedule, mask):
-    if params.config.mode == RASTER:
-        _, loss = raster_forward_train(params, grids, classes)
-    else:
-        _, loss = forward_train(params, grids, classes, schedule, mask)
-    return loss
-
-
 def train_loop(config: TrainConfig, log=None):
     """Train from scratch; returns (params, list of MetricPoint).
 
@@ -100,8 +92,7 @@ def train_loop(config: TrainConfig, log=None):
     """
     cfg = config.model
     params = init_model(cfg, seed=config.seed)
-    schedule = build_schedule(cfg.shape) if cfg.mode == NEIGHBOR else None
-    mask = build_mask(schedule) if schedule is not None else None
+    layout = sequence_layout(cfg)
 
     train_set, eval_set, rng = _splits(config)
 
@@ -126,7 +117,11 @@ def train_loop(config: TrainConfig, log=None):
         if config.uncond_prob > 0:
             drop = rng.random(config.batch_size) < config.uncond_prob
             classes = np.where(drop, cfg.null_class, classes)
-        loss = _loss_fn(params, grids, classes, schedule, mask)
+        if cfg.mode == RASTER:
+            _, loss = raster_forward_train(params, grids, classes)
+        else:
+            _, loss = forward_train(params, grids, classes, layout.schedule,
+                                    layout.mask)
         last_loss = float(loss.data)
         if not math.isfinite(last_loss):
             raise RuntimeError(
@@ -145,32 +140,42 @@ def train_loop(config: TrainConfig, log=None):
     return params, metrics
 
 
+_EVAL_SCORE_BYTES = 64 << 20  # cap on one chunk's attention scores
+
+
+def _scored_chunks(params: ModelParams, layout, dataset, batch_size: int):
+    """Yield (tokens in sequence order, per-head logits) for `dataset` in
+    chunks of at most `batch_size` rows, fewer (but at least one) where the
+    (rows, attention heads, S, S) float32 scores would pass
+    _EVAL_SCORE_BYTES."""
+    if not dataset:
+        raise ValueError("empty dataset")
+    seq = layout.step.size + 1
+    row_bytes = params.config.num_attn_heads * seq * seq * 4
+    rows = max(1, min(batch_size, _EVAL_SCORE_BYTES // row_bytes))
+    for start in range(0, len(dataset), rows):
+        chunk = dataset[start:start + rows]
+        grids = np.stack([g for g, _ in chunk])
+        classes = np.array([c for _, c in chunk])
+        tokens = grids.reshape(len(chunk), -1)[:, layout.raster_idx]
+        yield tokens, infer_logits(params, tokens, classes, layout.mask,
+                                   layout)
+
+
 def eval_nll(params: ModelParams, dataset, batch_size: int = 16) -> float:
     """Mean cross-entropy in nats per predicted target.
 
     Per target-table route for neighbor mode, per token for raster mode.
     Accumulates in float64, so the result is independent of batch size.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
-    cfg = params.config
-    schedule = build_schedule(cfg.shape) if cfg.mode == NEIGHBOR else None
-    mask = (build_mask(schedule) if schedule is not None
-            else build_raster_mask(cfg.shape.num_tokens))
-    layout = sequence_layout(cfg, schedule)
+    layout = sequence_layout(params.config)
     total = 0.0
     terms = 0
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset[start:start + batch_size]
-        grids = np.stack([g for g, _ in chunk])
-        classes = np.array([c for _, c in chunk])
-        flat = grids.reshape(len(chunk), -1)
-        tokens = flat[:, layout.raster_idx]
-        logits = infer_logits(params, tokens, classes, mask, layout)
+    for tokens, logits in _scored_chunks(params, layout, dataset, batch_size):
+        rows = np.arange(len(tokens))[:, None]
         for h, (src, tgt) in enumerate(layout.by_head):
             lp = log_softmax(logits[h][:, src, :].astype(np.float64))
             tok = tokens[:, tgt - 1]
-            rows = np.arange(len(chunk))[:, None]
             total -= lp[rows, np.arange(len(src))[None, :], tok].sum()
             terms += tok.size
     return total / terms
@@ -186,9 +191,7 @@ def overlap_nll(params: ModelParams, dataset, batch_size: int = 16):
     cfg = params.config
     if cfg.mode != NEIGHBOR:
         raise ValueError("overlap evaluation requires neighbor mode")
-    schedule = build_schedule(cfg.shape)
-    mask = build_mask(schedule)
-    layout = sequence_layout(cfg, schedule)
+    layout = sequence_layout(cfg)
     ndim = cfg.shape.ndim
 
     tgt_arr, src_by_axis = _overlapped_targets(layout)
@@ -198,14 +201,9 @@ def overlap_nll(params: ModelParams, dataset, batch_size: int = 16):
     total_mixed = 0.0
     total_axis = np.zeros(ndim)
     terms = 0
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset[start:start + batch_size]
-        grids = np.stack([g for g, _ in chunk])
-        classes = np.array([c for _, c in chunk])
-        tokens = grids.reshape(len(chunk), -1)[:, layout.raster_idx]
-        logits = infer_logits(params, tokens, classes, mask, layout)
+    for tokens, logits in _scored_chunks(params, layout, dataset, batch_size):
         tok = tokens[:, tgt_arr - 1]
-        rows = np.arange(len(chunk))[:, None]
+        rows = np.arange(len(tokens))[:, None]
         cols = np.arange(tgt_arr.size)[None, :]
         lps = []
         for a in range(ndim):

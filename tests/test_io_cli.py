@@ -215,3 +215,26 @@ class TestCli:
                         "--seed", "9", "--out-prefix", prefix]) == EXIT_OK
             outs.append(open(f"{prefix}_0000.tokens", "rb").read())
         assert outs[0] == outs[1]
+
+
+class TestMalformedTrainConfig:
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", '{"model": {}, "data": {}}'])
+    def test_exits_with_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "train.json"
+        path.write_text(text)
+        assert cli(["train", "--config", str(path), "--out",
+                    str(tmp_path / "t.ckpt")]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (tmp_path / "t.ckpt").exists()
+
+    def test_nonzero_dropout_exits_with_data_error(self, tmp_path, capsys):
+        from tests.test_train import tiny_train_config
+        d = json.loads(tiny_train_config().to_json())
+        d["model"]["dropout"] = 0.5
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(d))
+        assert cli(["train", "--config", str(path), "--out",
+                    str(tmp_path / "t.ckpt")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error:")

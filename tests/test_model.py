@@ -1,3 +1,4 @@
+import json
 import math
 import zlib
 
@@ -6,7 +7,8 @@ import pytest
 
 from neighborgen import tensor as T
 from neighborgen.cli import EXIT_DATA, cli
-from neighborgen.grid import GridShape, build_mask, build_schedule, target_table
+from neighborgen.grid import (GridShape, build_mask, build_raster_mask,
+                             build_schedule, target_table)
 from neighborgen.model import (NEIGHBOR, RASTER, CheckpointError, KVCache,
                                ModelConfig, ModelParams, embed_condition,
                                embed_tokens, forward_incremental,
@@ -392,3 +394,86 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-50])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestLayoutGeometry:
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 3)])
+    def test_neighbor_step_is_manhattan_distance(self, dims):
+        layout = sequence_layout(small_config(dims=dims))
+        assert layout.order is layout.schedule.order
+        assert layout.step.tolist() == [sum(p) for p in layout.order]
+
+    def test_raster_step_is_the_raster_index(self):
+        layout = sequence_layout(small_config(mode=RASTER, dims=(3, 4)))
+        assert layout.schedule is None
+        assert layout.step.tolist() == list(range(12))
+
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 3)])
+    def test_mask_is_the_schedule_mask(self, dims):
+        cfg = small_config(dims=dims)
+        layout = sequence_layout(cfg)
+        assert np.array_equal(layout.mask.allow,
+                              build_mask(build_schedule(cfg.shape)).allow)
+
+    def test_raster_mask_is_the_causal_mask(self):
+        layout = sequence_layout(small_config(mode=RASTER, dims=(3, 4)))
+        assert np.array_equal(layout.mask.allow, build_raster_mask(12).allow)
+
+    def test_equal_configs_share_one_read_only_mask(self):
+        layout = sequence_layout(small_config(dims=(3, 4)))
+        assert sequence_layout(small_config(dims=(3, 4), embed_dim=8)).mask \
+            is layout.mask
+        for a in (layout.step, layout.mask.allow):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+class TestForeignMaskRejected:
+    def test_mask_and_schedule_must_be_the_models(self):
+        cfg = small_config(dims=(4, 4))
+        p = randomize(init_model(cfg, 0), 2)
+        g = np.random.default_rng(0).integers(0, cfg.vocab_size, (2, 4, 4))
+        c = np.array([0, 1])
+        sched = build_schedule(cfg.shape)
+        with pytest.raises(ValueError):
+            forward_train(p, g, c, sched, build_raster_mask(16))
+        with pytest.raises(ValueError):
+            forward_train(p, g, c, build_schedule(GridShape((2, 8))),
+                          build_mask(build_schedule(GridShape((2, 8)))))
+        # a freshly built mask of the model's schedule is accepted
+        _, fresh = forward_train(p, g, c, sched, build_mask(sched))
+        _, shared = forward_train(p, g, c, sched, sequence_layout(cfg).mask)
+        assert fresh.data == shared.data
+
+
+class TestLegacyDropoutKey:
+    def config_text(self, dropout):
+        d = json.loads(small_config().to_json())
+        assert "dropout" not in d
+        d["dropout"] = dropout
+        return json.dumps(d)
+
+    def test_zero_loads(self):
+        assert ModelConfig.from_json(self.config_text(0.0)) == small_config()
+
+    def test_nonzero_rejected(self):
+        with pytest.raises(ValueError):
+            ModelConfig.from_json(self.config_text(0.5))
+
+    @pytest.mark.parametrize("dropout,ok", [(0.0, True), (0.5, False)])
+    def test_checkpoint(self, tmp_path, dropout, ok):
+        p = randomize(init_model(small_config(), 0), 3)
+        cfg_bytes = self.config_text(dropout).encode("utf-8")
+        payload = len(cfg_bytes).to_bytes(4, "little") + cfg_bytes + b"".join(
+            p[n].data.astype("<f4").tobytes() for n, _ in param_shapes(p.config))
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"NARCKPT2" + payload
+                         + zlib.crc32(payload).to_bytes(4, "little"))
+        if ok:
+            q = load_checkpoint(path)
+            assert q.config == p.config
+            assert all(np.array_equal(q[n].data, p[n].data)
+                       for n, _ in param_shapes(p.config))
+        else:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)

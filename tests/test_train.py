@@ -156,3 +156,57 @@ class TestOverlapNll:
                                      for a, s in enumerate(sources[:, i])}
                for i, t in enumerate(targets)}
         assert got == expected
+
+
+class TestScorer:
+    def test_chunks_use_the_layout_mask_and_cap_rows(self, monkeypatch):
+        import neighborgen.train as train_mod
+        seen = []
+
+        def fake_infer(params, tokens, classes, mask, layout):
+            seen.append((len(tokens), mask is layout.mask))
+            s = layout.step.size + 1
+            return [np.zeros((len(tokens), s, params.config.vocab_size))
+                    ] * params.config.num_decode_heads
+
+        monkeypatch.setattr(train_mod, "infer_logits", fake_infer)
+        small = init_model(tiny_train_config(dims=(8, 8)).model, 0)
+        grids = [(np.zeros((8, 8), np.int64), 0)] * 40
+        eval_nll(small, grids)
+        overlap_nll(small, grids)
+        # (8, 8) with 2 attention heads: far under the cap, 16-row chunks
+        assert seen == [(16, True), (16, True), (8, True)] * 2
+        seen.clear()
+        video = ModelConfig(vocab_size=4, num_classes=3, embed_dim=16,
+                            num_blocks=1, num_attn_heads=4,
+                            shape=GridShape((8, 16, 16)))
+        eval_nll(init_model(video, 0),
+                 [(np.zeros((8, 16, 16), np.int64), 0)] * 3)
+        # 4 x 2049^2 float32 scores pass 64 MiB: one row per chunk
+        assert seen == [(1, True)] * 3
+
+    def test_video_eval_memory_is_bounded(self):
+        import tracemalloc
+        from tests.test_model import randomize
+        cfg = ModelConfig(vocab_size=64, num_classes=10, embed_dim=64,
+                          num_blocks=2, num_attn_heads=4,
+                          shape=GridShape((8, 16, 16)))
+        params = randomize(init_model(cfg, 0), 1)
+        rng = np.random.default_rng(0)
+        data = [(rng.integers(0, 64, cfg.shape.dims), int(c))
+                for c in rng.integers(0, 10, 16)]
+        sequence_layout(cfg).mask  # built once per process: not in the peak
+        tracemalloc.start()
+        try:
+            nll = eval_nll(params, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
+        assert abs(nll - eval_nll(params, data, batch_size=1)) < 1e-9
+
+    def test_empty_dataset_rejected_by_both_scores(self):
+        params = init_model(tiny_train_config().model, 0)
+        for score in (eval_nll, overlap_nll):
+            with pytest.raises(ValueError, match="empty dataset"):
+                score(params, [])

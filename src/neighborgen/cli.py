@@ -18,6 +18,7 @@ from .model import (NEIGHBOR, CheckpointError, load_checkpoint, param_count,
                     param_shapes, save_checkpoint)
 from .render import Palette, write_ppm
 from .sample import SamplingConfig, generate, generate_raster
+from .tensor import NonFiniteError
 from .tokens_io import TokenFormatError, load_tokens, save_tokens
 from .train import TrainConfig, train_loop
 
@@ -206,8 +207,9 @@ def cli(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (CheckpointError, TokenFormatError, json.JSONDecodeError,
-            FileNotFoundError) as e:
+    # NonFiniteError and JSONDecodeError are ValueErrors: catch them first
+    except (CheckpointError, TokenFormatError, NonFiniteError,
+            json.JSONDecodeError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as e:

@@ -198,7 +198,8 @@ class _SequenceLayout:
     order, raster_idx, coords, step: the positions of slots 1..N, their
     raster indices, their per-axis coordinates and their wavefronts (the
     Manhattan distance; the raster index in raster mode).  `mask` lets a
-    slot see every slot of an earlier or equal wavefront.
+    slot see every slot of an earlier or equal wavefront; `bias` is its
+    additive form.
     src, axis, head, tgt: one entry per route (source slot, grid axis,
     decoding head, target slot).  In neighbor mode they are the target
     table in its order; in raster mode slot i predicts slot i + 1 along
@@ -238,6 +239,13 @@ class _SequenceLayout:
                 else build_mask(self.schedule))
         mask.allow.flags.writeable = False
         return mask
+
+    @functools.cached_property
+    def bias(self) -> np.ndarray:
+        """`mask`'s additive float32 bias, built on first use."""
+        bias = self.mask.bias()
+        bias.flags.writeable = False
+        return bias
 
 
 @functools.lru_cache(maxsize=16)
@@ -328,7 +336,7 @@ def _forward_routed(p: ModelParams, grids, class_ids,
         raise ValueError("class id out of range")
     tokens = grids.reshape(grids.shape[0], -1)[:, layout.raster_idx]
     x = _embed_train(p, layout, tokens, class_ids)
-    logits = _backbone_and_heads(p, x, layout.mask.bias())
+    logits = _backbone_and_heads(p, x, layout.bias)
     parts, targets = [], []
     for h, (src, tgt) in enumerate(layout.by_head):
         sel = T.take(logits[h], src, axis=1)  # (B, routes, V)
@@ -350,7 +358,8 @@ class KVCache:
     so each block's buffers are allocated once, at its first pass, and every
     pass writes its new slots in place after the `length` already filled.
     `filled` counts the slots each block has written; it must equal `length`
-    between passes.
+    between passes.  Keys are stored transposed, (rows, heads, head_dim,
+    capacity), so the score product reads a row-major prefix.
     """
 
     def __init__(self, num_layers: int, capacity: int):
@@ -367,18 +376,20 @@ class KVCache:
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray):
         """Write new (rows, heads, m, head_dim) keys and values for one
-        layer; return views of that layer's filled prefix."""
+        layer; return views of that layer's filled prefix: the transposed
+        keys (rows, heads, head_dim, filled) and the values."""
         if self.keys[layer] is None:
             rows, heads, _, dh = k.shape
-            self.keys[layer] = np.empty((rows, heads, self.capacity, dh),
+            self.keys[layer] = np.empty((rows, heads, dh, self.capacity),
                                         dtype=k.dtype)
-            self.values[layer] = np.empty_like(self.keys[layer])
+            self.values[layer] = np.empty((rows, heads, self.capacity, dh),
+                                          dtype=v.dtype)
         start = self.filled[layer]
         end = start + k.shape[2]
-        self.keys[layer][:, :, start:end] = k
+        self.keys[layer][..., start:end] = k.swapaxes(-1, -2)
         self.values[layer][:, :, start:end] = v
         self.filled[layer] = end
-        return self.keys[layer][:, :, :end], self.values[layer][:, :, :end]
+        return self.keys[layer][..., :end], self.values[layer][:, :, :end]
 
 
 def _gelu_np(x):
@@ -408,16 +419,17 @@ def _block_infer(arr, prefix, x, n_heads, bias=None, cache=None, layer=0):
     qkv = h @ arr[f"{prefix}.w_qkv"] + arr[f"{prefix}.b_qkv"]
     qkv = qkv.reshape(B, m, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q, k, v = qkv[0], qkv[1], qkv[2]
-    if cache is not None:
-        k, v = cache.append(layer, k, v)
-    scores = q @ k.swapaxes(-1, -2)
-    scores /= np.float32(math.sqrt(dh))
+    kt, v = (k.swapaxes(-1, -2), v) if cache is None else \
+        cache.append(layer, k, v)
+    # scaling q and normalising the (m, dh) output leave the scores four
+    # passes: product, max, shift-and-exp, sum
+    scores = (q * np.float32(1.0 / math.sqrt(dh))) @ kt
     if bias is not None:
         scores += bias
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
     att = scores @ v
+    att /= scores.sum(axis=-1, keepdims=True)
     att = att.transpose(0, 2, 1, 3).reshape(B, m, D)
     x = x + att @ arr[f"{prefix}.w_o"] + arr[f"{prefix}.b_o"]
     h = _ln_np(x, arr[f"{prefix}.ln2_g"], arr[f"{prefix}.ln2_b"])
@@ -492,7 +504,8 @@ def infer_logits(p: ModelParams, tokens_in_order: np.ndarray,
     layout = layout or sequence_layout(p.config)
     x = np.concatenate([embed_condition(p, class_ids),
                         embed_tokens(p, tokens_in_order, layout.order)], axis=1)
-    return _infer_blocks(p.arrays(), p.config, x, mask.bias())
+    bias = layout.bias if mask is layout.mask else mask.bias()
+    return _infer_blocks(p.arrays(), p.config, x, bias)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from .grid import GridShape, build_schedule, step_count  # noqa: F401
 from .model import (NEIGHBOR, RASTER, KVCache, ModelParams, embed_condition,
                     embed_tokens, forward_incremental, sequence_layout)
+from .tensor import NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,8 @@ class SamplingConfig:
     greedy: bool = False  # temperature -> 0 limit (argmax)
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.top_k < 0:
@@ -82,10 +85,13 @@ def apply_cfg(cond: np.ndarray, uncond: np.ndarray, scale: float) -> np.ndarray:
 
 
 def sample_token(logits: np.ndarray, config: SamplingConfig, rng) -> int:
-    """Temperature / top-k categorical sampling; greedy takes the argmax."""
+    """Temperature / top-k categorical sampling; greedy takes the argmax.
+
+    `rng.random()` gives the token's uniform in [0, 1) (see `_pos_rng`).
+    """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits")
+        raise NonFiniteError("non-finite logits")
     if config.greedy or config.top_k == 1:
         return int(logits.argmax())
     # shifted first, so a tiny temperature sends the rest to -inf, not NaN
@@ -99,10 +105,44 @@ def sample_token(logits: np.ndarray, config: SamplingConfig, rng) -> int:
     return min(int(np.cumsum(p).searchsorted(u, side="right")), len(p) - 1)
 
 
-def _pos_rng(seed: int, step: int, flat_index: int):
-    """Counter-based RNG keyed by (seed, step, position): evaluation order
-    of positions within a step cannot change the sampled tokens."""
-    return np.random.default_rng([seed, step, flat_index])
+def _philox4x32(counter, key):
+    """Philox-4x32-10 (Salmon et al., SC 2011), vectorized over arrays.
+
+    counter: four uint32-valued arrays or ints; key: two uint32 ints.
+    Returns the four output words as uint64 arrays of uint32 values.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = key
+    low = np.uint64(0xFFFFFFFF)
+    for _ in range(10):
+        p0, p1 = np.uint64(0xD2511F53) * c0, np.uint64(0xCD9E8D57) * c2
+        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ np.uint64(k0), p1 & low,
+                          (p0 >> 32) ^ c3 ^ np.uint64(k1), p0 & low)
+        k0, k1 = (k0 + 0x9E3779B9) & 0xFFFFFFFF, (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return c0, c1, c2, c3
+
+
+def philox_uniform(seed: int, step, flat) -> np.ndarray:
+    """One float64 uniform in [0, 1) per (step, flat) pair: the 53-bit
+    float of the first two words of the Philox-4x32-10 block with key
+    `seed` (64 bits) and counter (flat, step, 0, 0)."""
+    w0, w1, _, _ = _philox4x32((flat, step, 0, 0),
+                               (seed & 0xFFFFFFFF, seed >> 32))
+    return ((w0 >> 5) * 67108864 + (w1 >> 6)) / 9007199254740992.0
+
+
+class _Uniform(float):
+    """A pre-drawn uniform, returned by the `rng.random()` call that
+    `sample_token` makes."""
+
+    def random(self) -> float:
+        return float(self)
+
+
+def _pos_rng(seed: int, step: int, flat_index: int) -> _Uniform:
+    """The uniform keyed by (seed, step, position): evaluation order of
+    positions within a step cannot change the sampled tokens."""
+    return _Uniform(float(philox_uniform(seed, step, flat_index)))
 
 
 @dataclass(frozen=True)
@@ -180,7 +220,11 @@ def generate(params: ModelParams, class_id: int, shape: GridShape,
         raise ValueError(f"shape {shape} does not match model shape {cfg.shape}")
     if not (0 <= class_id < cfg.num_classes):
         raise ValueError("class id out of range")
-    plan = _wavefront_plan(sequence_layout(cfg))
+    layout = sequence_layout(cfg)
+    plan = _wavefront_plan(layout)
+    # every uniform of the grid, in slot order (each step is a run of slots)
+    uniforms = philox_uniform(config.seed, layout.step,
+                              layout.raster_idx).tolist()
     use_cfg = config.cfg_scale != 1.0
     class_ids = [class_id, cfg.null_class] if use_cfg else [class_id]
 
@@ -210,9 +254,11 @@ def generate(params: ModelParams, class_id: int, shape: GridShape,
         for route_ids, targets in step.by_rank:
             mixed[targets] += contribs[route_ids]
         mixed /= step.counts[:, None]
+        done = stats.tokens_generated
         ids = np.array([
-            sample_token(mixed[t], config, _pos_rng(config.seed, s, int(q)))
-            for t, q in enumerate(step.flat)], dtype=np.int64)
+            sample_token(row, config, _Uniform(u))
+            for row, u in zip(mixed, uniforms[done:done + len(mixed)])],
+            dtype=np.int64)
         flat_grid[step.flat] = ids
         stats.tokens_generated += len(ids)
         stats.step_wall_ms.append((time.perf_counter() - t0) * 1000)
@@ -246,14 +292,16 @@ def generate_raster(params: ModelParams, class_id: int, shape: GridShape,
                              config.cfg_scale)
         return head_logits[0, 0]
 
+    # raster index i is position i's flat index and pass i's step
+    index = np.arange(shape.num_tokens)
+    uniforms = philox_uniform(config.seed, index, index).tolist()
     x = embed_condition(params, class_ids)
     for i, pos in enumerate(order):
         t0 = time.perf_counter()
         logits = forward_incremental(params, x, cache)
         stats.forward_passes += 1
-        # raster index i is position i's flat index
         grid[pos] = sample_token(guided(logits[0]), config,
-                                 _pos_rng(config.seed, i, i))
+                                 _Uniform(uniforms[i]))
         stats.tokens_generated += 1
         stats.step_wall_ms.append((time.perf_counter() - t0) * 1000)
         if i + 1 < len(order):

@@ -304,7 +304,12 @@ class AdamState:
     t: int = 0
 
 
-class NonFiniteGradient(RuntimeError):
+class NonFiniteError(ValueError):
+    """A computation produced NaN or Inf: the weights or the run diverged,
+    not the way the program was called."""
+
+
+class NonFiniteGradient(NonFiniteError, RuntimeError):
     """A gradient contained NaN or Inf; the step was rejected."""
 
 

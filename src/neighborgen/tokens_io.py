@@ -77,15 +77,18 @@ def load_tokens(path) -> np.ndarray:
         blob = f.read()
     if not blob.startswith(TOKENS_MAGIC):
         raise TokenFormatError("not a token file (bad magic)")
-    off = len(TOKENS_MAGIC)
-    ndim = int.from_bytes(blob[off:off + 4], "little")
-    off += 4
+
+    def u32(i):  # the i-th header word after the magic
+        off = len(TOKENS_MAGIC) + 4 * i
+        if off + 4 > len(blob):
+            raise TokenFormatError(f"truncated header: {len(blob)} bytes")
+        return int.from_bytes(blob[off:off + 4], "little")
+
+    ndim = u32(0)
     if ndim not in (2, 3):
         raise TokenFormatError(f"bad ndim {ndim}")
-    dims = []
-    for _ in range(ndim):
-        dims.append(int.from_bytes(blob[off:off + 4], "little"))
-        off += 4
+    dims = [u32(1 + a) for a in range(ndim)]
+    off = len(TOKENS_MAGIC) + 4 * (1 + ndim)
     if 0 in dims:
         raise TokenFormatError(f"zero dimension in {dims}")
     n = math.prod(dims)

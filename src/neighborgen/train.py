@@ -124,7 +124,7 @@ def train_loop(config: TrainConfig, log=None):
                                     layout.mask)
         last_loss = float(loss.data)
         if not math.isfinite(last_loss):
-            raise RuntimeError(
+            raise T.NonFiniteError(
                 f"non-finite training loss {last_loss} at step {step}")
         loss.backward()
         grads = {k: v.grad if v.grad is not None else np.zeros_like(v.data)

@@ -55,6 +55,23 @@ class TestTokensIO:
         with pytest.raises(TokenFormatError):
             grid_from_json(text)
 
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 3, 3)])
+    def test_header_cut_at_every_byte(self, tmp_path, capsys, dims):
+        path = tmp_path / "x.tokens"
+        save_tokens(path, np.ones(dims, np.int64))
+        blob = path.read_bytes()
+        header = 8 + 4 * (1 + len(dims))
+        out = str(tmp_path / "x.ppm")
+        for cut in range(header):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(TokenFormatError) as e:
+                load_tokens(path)
+            if cut >= 8:  # past the magic
+                assert str(e.value).startswith("truncated header"), cut
+            assert cli(["render", "--input", str(path),
+                        "--out", out]) == EXIT_DATA
+        assert capsys.readouterr().err.count("data error:") == header
+
     def test_zero_dimension_rejected(self, tmp_path, capsys):
         path = tmp_path / "z.tokens"
         save_tokens(path, np.zeros((0, 5), np.int64))
@@ -215,6 +232,59 @@ class TestCli:
                         "--seed", "9", "--out-prefix", prefix]) == EXIT_OK
             outs.append(open(f"{prefix}_0000.tokens", "rb").read())
         assert outs[0] == outs[1]
+
+
+class TestNumericFaults:
+    def data_errors(self, capsys):
+        err = capsys.readouterr().err.splitlines()
+        return [line for line in err if line.startswith("data error:")]
+
+    def test_nan_checkpoint_generate_exits_with_data_error(self, tmp_path,
+                                                           capsys):
+        params = init_model(small_config(dims=(3, 3)), 0)
+        for t in params.tensors.values():
+            t.data[...] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(params, ckpt)
+        prefix = str(tmp_path / "s")
+        assert cli(["generate", "--ckpt", str(ckpt),
+                    "--out-prefix", prefix]) == EXIT_DATA
+        assert self.data_errors(capsys) == ["data error: non-finite logits"]
+        assert not (tmp_path / "s_0000.tokens").exists()
+
+    def train(self, tmp_path, **kw):
+        from tests.test_train import tiny_train_config
+        path = tmp_path / "train.json"
+        path.write_text(tiny_train_config(steps=4, eval_interval=2,
+                                          **kw).to_json())
+        return cli(["train", "--config", str(path), "--out",
+                    str(tmp_path / "t.ckpt")])
+
+    def test_diverging_loss_exits_with_data_error(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert self.train(tmp_path, learning_rate=1e30) == EXIT_DATA
+        errors = self.data_errors(capsys)
+        assert len(errors) == 1 and "non-finite training loss" in errors[0]
+        assert not (tmp_path / "t.ckpt").exists()
+
+    def test_non_finite_gradient_exits_with_data_error(self, tmp_path,
+                                                       capsys, monkeypatch):
+        from neighborgen import tensor
+
+        def reject(params, grads, *args, **kw):
+            raise tensor.NonFiniteGradient("non-finite gradient for 'w'")
+
+        monkeypatch.setattr(tensor, "adam_step", reject)
+        assert self.train(tmp_path) == EXIT_DATA
+        assert self.data_errors(capsys) == [
+            "data error: non-finite gradient for 'w'"]
+
+    def test_seed_outside_the_key_is_a_usage_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(small_config(dims=(3, 3)), 0), ckpt)
+        assert cli(["generate", "--ckpt", str(ckpt), "--seed", "-1",
+                    "--out-prefix", str(tmp_path / "s")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: seed")
 
 
 class TestMalformedTrainConfig:

@@ -7,8 +7,8 @@ import pytest
 
 from neighborgen import tensor as T
 from neighborgen.cli import EXIT_DATA, cli
-from neighborgen.grid import (GridShape, build_mask, build_raster_mask,
-                             build_schedule, target_table)
+from neighborgen.grid import (AttentionMask, GridShape, build_mask,
+                             build_raster_mask, build_schedule, target_table)
 from neighborgen.model import (NEIGHBOR, RASTER, CheckpointError, KVCache,
                                ModelConfig, ModelParams, embed_condition,
                                embed_tokens, forward_incremental,
@@ -426,6 +426,55 @@ class TestLayoutGeometry:
         for a in (layout.step, layout.mask.allow):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+class TestCachedBias:
+    @pytest.mark.parametrize("mode", [NEIGHBOR, RASTER])
+    def test_one_read_only_bias_read_by_both_forwards(self, mode,
+                                                      monkeypatch):
+        cfg = small_config(mode=mode, dims=(3, 4))
+        layout = sequence_layout(cfg)
+        bias = layout.bias
+        assert layout.bias is bias
+        assert np.array_equal(bias, layout.mask.bias())
+        with pytest.raises(ValueError):
+            bias[0, 0] = 1.0
+
+        def rebuilt(self, dtype=np.float32):
+            raise AssertionError("bias rebuilt from the mask")
+
+        monkeypatch.setattr(AttentionMask, "bias", rebuilt)
+        p = randomize(init_model(cfg, 0), 3)
+        g = np.random.default_rng(0).integers(0, cfg.vocab_size, (2, 3, 4))
+        c = np.array([0, 1])
+        infer_logits(p, g.reshape(2, -1)[:, layout.raster_idx], c,
+                     layout.mask, layout)
+        if mode == RASTER:
+            raster_forward_train(p, g, c)
+        else:
+            forward_train(p, g, c, layout.schedule, layout.mask)
+
+
+class TestInferenceMatchesAutodiff:
+    @pytest.mark.parametrize("mode,dims", [(NEIGHBOR, (3, 4)),
+                                           (NEIGHBOR, (2, 3, 3)),
+                                           (RASTER, (3, 4))])
+    def test_full_sequence_logits(self, mode, dims):
+        """The numpy attention (scaled queries, output normalised after
+        the value product) against the autodiff softmax attention."""
+        cfg = small_config(mode=mode, dims=dims)
+        layout = sequence_layout(cfg)
+        p = randomize(init_model(cfg, 0), 6)
+        g = np.random.default_rng(3).integers(0, cfg.vocab_size, (2, *dims))
+        c = np.array([1, cfg.null_class])
+        fast = infer_logits(p, g.reshape(2, -1)[:, layout.raster_idx], c,
+                            layout.mask, layout)
+        if mode == RASTER:
+            ref, _ = raster_forward_train(p, g, c)
+        else:
+            ref, _ = forward_train(p, g, c, layout.schedule, layout.mask)
+        for a, b in zip(fast, ref):
+            assert np.abs(a - b.data).max() < 1e-5
 
 
 class TestForeignMaskRejected:

@@ -5,8 +5,9 @@ from neighborgen.grid import (GridShape, build_mask, build_schedule,
                               predecessors, step_count, successors)
 from neighborgen.model import (RASTER, ModelConfig, infer_logits, init_model,
                                sequence_layout)
-from neighborgen.sample import (SamplingConfig, _pos_rng, apply_cfg, generate,
-                                generate_raster, log_softmax, mix_logits,
+from neighborgen.sample import (SamplingConfig, _philox4x32, _pos_rng,
+                                apply_cfg, generate, generate_raster,
+                                log_softmax, mix_logits, philox_uniform,
                                 sample_token)
 from tests.test_model import randomize, small_config
 
@@ -88,6 +89,12 @@ class TestSampleToken:
         freq = counts / counts.sum()
         assert np.abs(freq - 0.25).max() < 0.01
 
+    def test_seed_must_fit_the_64_bit_key(self):
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError):
+                SamplingConfig(seed=seed)
+        assert SamplingConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SamplingConfig(temperature=0.0)
@@ -109,6 +116,76 @@ class TestSampleToken:
             for seed in range(5):
                 assert sample_token(logits, cfg,
                                     np.random.default_rng(seed)) == 1
+
+
+class TestPhilox:
+    # Philox-4x32-10 known-answer vectors from Random123's kat_vectors:
+    # (counter, key, output)
+    KAT = [
+        ((0, 0, 0, 0), (0, 0),
+         (0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8)),
+        ((0xffffffff,) * 4, (0xffffffff, 0xffffffff),
+         (0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd)),
+        ((0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344),
+         (0xa4093822, 0x299f31d0),
+         (0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1)),
+    ]
+
+    @pytest.mark.parametrize("counter,key,expected", KAT)
+    def test_known_answers(self, counter, key, expected):
+        assert tuple(int(w) for w in _philox4x32(counter, key)) == expected
+
+    def test_uniform_is_the_53_bit_float_of_words_0_and_1(self):
+        # counter (0, 0, 0, 0) with key 0 is the first known answer
+        w0, w1 = 0x6627e8d5, 0xe169c58d
+        assert philox_uniform(0, 0, 0) == \
+            ((w0 >> 5) * 2 ** 26 + (w1 >> 6)) / 2 ** 53
+        # key = (low, high) 32 bits of the seed; counter = (flat, step, 0, 0)
+        seed = 0x299f31d0a4093822
+        w0, w1, _, _ = _philox4x32((5, 3, 0, 0), (0xa4093822, 0x299f31d0))
+        assert philox_uniform(seed, 3, 5) == \
+            ((int(w0) >> 5) * 2 ** 26 + (int(w1) >> 6)) / 2 ** 53
+
+    def test_vectorized_blocks_match_scalar_blocks(self):
+        ctr = [np.array([0, 0xffffffff, 0x243f6a88]),
+               np.array([0, 0xffffffff, 0x85a308d3]),
+               np.array([0, 0xffffffff, 0x13198a2e]),
+               np.array([0, 0xffffffff, 0x03707344])]
+        words = _philox4x32(ctr, (0xa4093822, 0x299f31d0))
+        for i in range(3):
+            one = _philox4x32([c[i] for c in ctr], (0xa4093822, 0x299f31d0))
+            assert [int(w[i]) for w in words] == [int(w) for w in one]
+
+    @pytest.mark.parametrize("dims,mode", [((4, 4), "neighbor"),
+                                           ((2, 3, 3), "neighbor"),
+                                           ((4, 4), RASTER)])
+    def test_pos_rng_equals_the_per_grid_draw(self, dims, mode):
+        layout = sequence_layout(small_config(mode=mode, dims=dims))
+        for seed in (0, 7, 2 ** 64 - 1):
+            grid = philox_uniform(seed, layout.step, layout.raster_idx)
+            assert grid.shape == layout.step.shape
+            for u, s, q in zip(grid, layout.step, layout.raster_idx):
+                assert _pos_rng(seed, int(s), int(q)).random() == u
+
+    def test_key_and_counter_select_distinct_streams(self):
+        base = philox_uniform(5, 3, np.arange(64))
+        assert np.unique(base).size == 64
+        for other in (philox_uniform(6, 3, np.arange(64)),
+                      philox_uniform(5, 4, np.arange(64)),
+                      philox_uniform(5 + 2 ** 32, 3, np.arange(64))):
+            assert not np.any(other == base)
+
+    def test_uniforms_in_unit_interval_and_flat(self):
+        u = philox_uniform(11, np.arange(10_000) % 37, np.arange(10_000))
+        assert u.dtype == np.float64
+        assert u.min() >= 0.0 and u.max() < 1.0
+        # chi-square over 20 equal bins, 19 degrees of freedom: the
+        # 0.999 quantile is 43.8
+        counts = np.bincount((u * 20).astype(np.int64), minlength=20)
+        chi2 = ((counts - 500.0) ** 2 / 500.0).sum()
+        assert chi2 < 43.8
+        # 53-bit floats: the low bits are used
+        assert np.any((u * 2.0 ** 53) % 2 == 1)
 
 
 class TestGenerate:
@@ -297,3 +374,24 @@ class TestGenerateRaster:
         p = init_model(small_config(), 0)
         with pytest.raises(ValueError):
             generate_raster(p, 0, p.config.shape, SamplingConfig())
+
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    def test_matches_per_token_decoder(self, cfg_scale):
+        """Token i is drawn with _pos_rng(seed, i, i) from cache-free
+        full-sequence logits."""
+        cfg = small_config(mode=RASTER, dims=(3, 3))
+        layout = sequence_layout(cfg)
+        class_ids = np.array([1] if cfg_scale == 1.0 else [1, cfg.null_class])
+        for seed in range(3):
+            p = randomize(init_model(cfg, 0), 30 + seed)
+            scfg = SamplingConfig(seed=seed, top_k=3, cfg_scale=cfg_scale)
+            fast, _ = generate_raster(p, 1, cfg.shape, scfg)
+            slow = np.zeros(cfg.shape.num_tokens, dtype=np.int64)
+            for i in range(slow.size):
+                tokens = np.repeat(slow[None], len(class_ids), axis=0)
+                head = infer_logits(p, tokens, class_ids, layout.mask,
+                                    layout)[0]
+                row = (apply_cfg(head[0, i], head[1, i], cfg_scale)
+                       if cfg_scale != 1.0 else head[0, i])
+                slow[i] = sample_token(row, scfg, _pos_rng(seed, i, i))
+            assert np.array_equal(fast.reshape(-1), slow), seed

@@ -1,15 +1,18 @@
 """
-Benchmarking near-to-far decoding against the raster baseline
-=============================================================
+Forward passes: near-to-far decoding against the raster baseline
+================================================================
 
 Builds two models sharing one backbone configuration — near-to-far with
-per-axis heads, and a raster next-token baseline — and measures forward
-passes, latency, and throughput per sample on the same grid.
+per-axis heads, and a raster next-token baseline — decodes one 8x8 grid
+with each, and prints what `generate` and `generate_raster` report: the
+forward passes, the tokens and the wall time of the decoding steps.  The
+pass counts are the paper's claim and are exact; each time is a single
+reading with no measure of its noise.  For measured throughput, use
+`perfbench/run.py`.
 """
 
-import json
-
-from neighborgen import (GridShape, ModelConfig, NEIGHBOR, RASTER, bench,
+from neighborgen import (GridShape, ModelConfig, NEIGHBOR, RASTER,
+                         SamplingConfig, generate, generate_raster,
                          init_model, step_count)
 
 shape = GridShape((8, 8))
@@ -21,12 +24,10 @@ raster = init_model(ModelConfig(mode=RASTER, **common), seed=0)
 print(f"grid {shape}: {step_count(shape)} near-to-far passes "
       f"vs {shape.num_tokens} raster passes per sample\n")
 
-report = bench(neighbor, raster, shape, batch_sizes=(1, 4), repetitions=3)
-for e in report.entries:
-    print(f"  {e.mode:9s} batch={e.batch_size}  "
-          f"passes/sample={e.forward_passes_per_sample:3d}  "
-          f"median={e.wall_s_per_sample * 1000:8.1f} ms/sample  "
-          f"throughput={e.samples_per_second:6.2f} samples/s")
-
-print("\nfull report as JSON:")
-print(json.dumps(json.loads(report.to_json()), indent=2)[:400], "...")
+config = SamplingConfig(greedy=True)
+for mode, decode, params in ((NEIGHBOR, generate, neighbor),
+                             (RASTER, generate_raster, raster)):
+    _, stats = decode(params, 1, shape, config)
+    print(f"  {mode:9s} forward_passes={stats.forward_passes:3d}  "
+          f"tokens={stats.tokens_generated}  "
+          f"wall_ms={sum(stats.step_wall_ms):.1f}")

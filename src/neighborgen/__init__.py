@@ -20,7 +20,6 @@ from .sample import (GenerationStats, SamplingConfig, apply_cfg, generate,
 from .train import (TrainConfig, ablate_single_head, eval_nll, make_dataset,
                     overlap_nll, train_loop)
 from .render import Palette, render_grid, write_ppm
-from .bench import BenchReport, bench
 from .tokens_io import (TokenFormatError, grid_from_json, grid_to_json,
                         load_tokens, save_tokens)
 

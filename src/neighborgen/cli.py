@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: schedule, mask, train, generate, render, bench, inspect.
+Subcommands: schedule, mask, train, generate, render, inspect.
 Exit codes: 0 success, 1 usage error, 2 data/checksum error.
 """
 
@@ -11,7 +11,6 @@ import dataclasses
 import json
 import sys
 
-from .bench import bench
 from .grid import (GridShape, build_mask, build_raster_mask, build_schedule,
                    serialize_mask, serialize_schedule, step_count)
 from .model import (NEIGHBOR, CheckpointError, load_checkpoint, param_count,
@@ -83,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="palette size (default: max token id + 1)")
     p.add_argument("--palette-seed", type=int, default=0)
 
-    p = sub.add_parser("bench", help="step-count / throughput benchmark")
-    p.add_argument("--neighbor-ckpt", required=True)
-    p.add_argument("--raster-ckpt", required=True)
-    p.add_argument("--batch-sizes", default="1")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--out", default=None)
-
     p = sub.add_parser("inspect", help="print checkpoint config and sizes")
     p.add_argument("--ckpt", required=True)
     return parser
@@ -115,8 +107,8 @@ def _cmd_train(args) -> int:
     try:
         with open(args.config) as f:
             config = TrainConfig.from_json(f.read())
-    except (KeyError, TypeError, ValueError) as e:
-        print(f"data error: bad train config: {e!r}", file=sys.stderr)
+    except ValueError as e:
+        print(f"data error: bad train config: {e}", file=sys.stderr)
         return EXIT_DATA
     sink = open(args.metrics, "w") if args.metrics else None
     try:
@@ -144,7 +136,8 @@ def _cmd_generate(args) -> int:
         path = f"{args.out_prefix}_{i:04d}.tokens"
         save_tokens(path, grid)
         print(f"{path}: forward_passes={stats.forward_passes} "
-              f"tokens={stats.tokens_generated}")
+              f"tokens={stats.tokens_generated} "
+              f"wall_ms={sum(stats.step_wall_ms):.3f}")
     return EXIT_OK
 
 
@@ -158,22 +151,12 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    nbr = load_checkpoint(args.neighbor_ckpt)
-    ras = load_checkpoint(args.raster_ckpt)
-    batch_sizes = tuple(int(b) for b in args.batch_sizes.split(","))
-    report = bench(nbr, ras, nbr.config.shape, batch_sizes=batch_sizes,
-                   repetitions=args.reps)
-    _emit(report.to_json() + "\n", args.out)
-    return EXIT_OK
-
-
 def _cmd_inspect(args) -> int:
     params = load_checkpoint(args.ckpt)
     cfg = params.config
     print(json.dumps(json.loads(cfg.to_json()), indent=2))
     print(f"parameters: {param_count(cfg)}")
-    print(f"tensors: {len(param_shapes(cfg))}")
+    print(f"tensors: {sum(1 for _ in param_shapes(cfg))}")
     print(f"steps per sample: "
           f"{step_count(cfg.shape) if cfg.mode == NEIGHBOR else cfg.shape.num_tokens}")
     return EXIT_OK
@@ -193,7 +176,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "generate": _cmd_generate,
     "render": _cmd_render,
-    "bench": _cmd_bench,
     "inspect": _cmd_inspect,
 }
 

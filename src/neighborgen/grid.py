@@ -11,6 +11,7 @@ at sequence index 0.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +26,12 @@ class GridShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.dims) not in (2, 3):
-            raise ValueError(f"grid must be 2D or 3D, got {len(self.dims)} dims")
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"all dims must be >= 1, got {self.dims}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(operator.index(d) for d in self.dims)  # ints only
+        if len(dims) not in (2, 3):
+            raise ValueError(f"grid must be 2D or 3D, got {len(dims)} dims")
+        if any(d < 1 for d in dims):
+            raise ValueError(f"all dims must be >= 1, got {dims}")
+        object.__setattr__(self, "dims", dims)
 
     @property
     def ndim(self) -> int:

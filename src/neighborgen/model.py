@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -46,11 +47,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in (NEIGHBOR, RASTER):
             raise ValueError(f"unknown mode {self.mode!r}")
+        counts = (self.vocab_size, self.num_classes, self.embed_dim,
+                  self.num_blocks, self.num_attn_heads)
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                   for n in counts):
+            raise ValueError("all config counts must be positive integers")
         if self.embed_dim % self.num_attn_heads != 0:
             raise ValueError("embed_dim must be divisible by num_attn_heads")
-        if min(self.vocab_size, self.num_classes, self.embed_dim,
-               self.num_blocks, self.num_attn_heads) < 1:
-            raise ValueError("all config counts must be positive")
 
     @property
     def num_decode_heads(self) -> int:
@@ -97,30 +100,28 @@ def _block_param_shapes(cfg: ModelConfig):
     ]
 
 
-def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Parameter names and shapes in checkpoint declaration order."""
+def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Yield parameter names and shapes in checkpoint declaration order,
+    lazily: a reader stops at the first tensor a file lacks."""
     d = cfg.embed_dim
-    shapes = [
-        ("tok_emb", (cfg.vocab_size, d)),
-        ("cls_emb", (cfg.num_classes + 1, d)),  # +1 null-class row for CFG
-        ("cond_pos", (d,)),
-    ]
+    yield ("tok_emb", (cfg.vocab_size, d))
+    yield ("cls_emb", (cfg.num_classes + 1, d))  # +1 null-class row for CFG
+    yield ("cond_pos", (d,))
     for a, n in enumerate(cfg.shape.dims):
-        shapes.append((f"pos{a}", (n, d)))
+        yield (f"pos{a}", (n, d))
     for i in range(cfg.num_blocks):
-        shapes += [(f"bb{i}.{n}", s) for n, s in _block_param_shapes(cfg)]
+        yield from ((f"bb{i}.{n}", s) for n, s in _block_param_shapes(cfg))
     for h in range(cfg.num_decode_heads):
-        shapes += [(f"head{h}.{n}", s) for n, s in _block_param_shapes(cfg)]
-        shapes += [
+        yield from ((f"head{h}.{n}", s) for n, s in _block_param_shapes(cfg))
+        yield from [
             (f"head{h}.lnf_g", (d,)), (f"head{h}.lnf_b", (d,)),
             (f"head{h}.w_out", (d, cfg.vocab_size)),
             (f"head{h}.b_out", (cfg.vocab_size,)),
         ]
-    return shapes
 
 
 def param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for _, s in param_shapes(cfg))
+    return sum(math.prod(s) for _, s in param_shapes(cfg))
 
 
 @dataclass
@@ -562,12 +563,12 @@ def load_checkpoint(path) -> ModelParams:
     cfg_len = int.from_bytes(payload[:4], "little")
     try:
         cfg = ModelConfig.from_json(bytes(payload[4:4 + cfg_len]).decode("utf-8"))
-    except (ValueError, KeyError, TypeError) as e:
-        raise CheckpointError(f"bad config: {e}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"bad config: {e!r}") from None
     offset = 4 + cfg_len
     tensors = {}
     for name, shape in param_shapes(cfg):
-        nbytes = int(np.prod(shape)) * 4
+        nbytes = math.prod(shape) * 4
         raw = payload[offset:offset + nbytes]
         if len(raw) != nbytes:
             raise CheckpointError("truncated tensor data")

@@ -319,7 +319,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     """Standard Adam update with bias correction, in place.
 
     Rejects the whole step (params and state untouched) if any gradient is
-    non-finite.
+    non-finite.  Overflow in the moments or weights is left silent: the
+    training loop's loss and eval checks report it.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -331,17 +332,18 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        mhat = m / c1
-        vhat = v / c2
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = grads[name]
+            m = state.m[name]
+            v = state.v[name]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            mhat = m / c1
+            vhat = v / c2
+            p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
 
 
 def grad_check(loss_fn, params: dict[str, Tensor], n_samples: int = 64,

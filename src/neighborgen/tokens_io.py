@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import operator
 from dataclasses import asdict
 
 import numpy as np
@@ -49,7 +50,7 @@ def grid_from_json(text: str):
     """Returns (grid, header dict without the token payload)."""
     d = json.loads(text)
     try:
-        shape = tuple(int(n) for n in d["shape"])
+        shape = tuple(operator.index(n) for n in d["shape"])
         raw = base64.b64decode(d["tokens_b64"])
     except (KeyError, TypeError, ValueError) as e:
         raise TokenFormatError(f"malformed token JSON: {e!r}") from None

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -33,9 +34,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.batch_size, self.num_train_samples,
-               self.num_eval_samples) < 1 or self.total_steps < 0:
-            raise ValueError("counts must be positive")
+        for f in fields(self)[2:]:  # the scalars after model and data
+            v = getattr(self, f.name)
+            kinds = int if f.type == "int" else (int, float)
+            if (isinstance(v, bool) or not isinstance(v, kinds)
+                    or not abs(v) <= sys.float_info.max):
+                raise ValueError(f"{f.name} must be a finite {f.type}")
+        if min(self.batch_size, self.eval_interval, self.num_train_samples,
+               self.num_eval_samples) < 1 or min(self.total_steps,
+                                                 self.seed) < 0:
+            raise ValueError("counts must be positive, steps and seed >= 0")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -45,22 +53,27 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
-        d = json.loads(text)
-        d["model"] = ModelConfig.from_json(json.dumps(d["model"]))
-        d["data"] = SyntheticSpec.from_json(json.dumps(d["data"]))
-        return cls(**d)
+        """Raises ValueError for any document that does not build a config."""
+        try:
+            d = json.loads(text)
+            d["model"] = ModelConfig.from_json(json.dumps(d["model"]))
+            d["data"] = SyntheticSpec.from_json(json.dumps(d["data"]))
+            return cls(**d)
+        except (AttributeError, KeyError, TypeError) as e:
+            raise ValueError(repr(e)) from None
 
 
 @dataclass
 class MetricPoint:
     step: int
-    train_loss: float
+    train_loss: float | None  # None when no step ran
     eval_nll: float
     wall_ms: float
 
     def to_json(self) -> str:
         return json.dumps({"step": self.step, "train_loss": self.train_loss,
-                           "eval_nll": self.eval_nll, "wall_ms": self.wall_ms})
+                           "eval_nll": self.eval_nll, "wall_ms": self.wall_ms},
+                          allow_nan=False)
 
 
 # Train samples draw even generator seeds, eval samples odd: the partitions
@@ -99,12 +112,14 @@ def train_loop(config: TrainConfig, log=None):
     state = T.AdamState()
     metrics: list[MetricPoint] = []
     t_start = time.perf_counter()
-    last_loss = math.nan
+    last_loss = None
 
     def record(step, loss_val):
+        nll = eval_nll(params, eval_set)
+        if not math.isfinite(nll):
+            raise T.NonFiniteError(f"non-finite eval NLL {nll} at step {step}")
         point = MetricPoint(
-            step=step, train_loss=float(loss_val),
-            eval_nll=eval_nll(params, eval_set),
+            step=step, train_loss=loss_val, eval_nll=nll,
             wall_ms=(time.perf_counter() - t_start) * 1000)
         metrics.append(point)
         if log is not None:
@@ -212,8 +227,7 @@ def overlap_nll(params: ModelParams, dataset, batch_size: int = 16):
                 .astype(np.float64))
             lps.append(lp)
             total_axis[a] -= lp[rows, cols, tok].sum()
-        mixed = sum(lps) / ndim
-        mixed = mixed - _logsumexp(mixed)
+        mixed = log_softmax(sum(lps) / ndim)
         total_mixed -= mixed[rows, cols, tok].sum()
         terms += tok.size
     return {"mixed": total_mixed / terms,
@@ -229,11 +243,6 @@ def _overlapped_targets(layout):
     src_of[layout.axis[inner], layout.tgt[inner]] = layout.src[inner]
     targets = np.flatnonzero((src_of != 0).all(axis=0))
     return targets, src_of[:, targets]
-
-
-def _logsumexp(x):
-    m = x.max(axis=-1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
 
 
 def ablate_single_head(config: TrainConfig, log=None):

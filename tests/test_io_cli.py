@@ -1,16 +1,17 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from neighborgen.bench import bench
 from neighborgen.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli
-from neighborgen.grid import GridShape
 from neighborgen.model import RASTER, init_model, save_checkpoint
 from neighborgen.render import Palette, render_grid, write_ppm
 from neighborgen.sample import SamplingConfig
 from neighborgen.tokens_io import (TokenFormatError, grid_from_json,
                                    grid_to_json, load_tokens, save_tokens)
+from neighborgen.train import MetricPoint
 from tests.test_model import randomize, small_config
 
 
@@ -118,30 +119,6 @@ class TestRender:
                               Palette.make(7, 3).colors)
 
 
-class TestBench:
-    def test_counts_and_report(self, tmp_path):
-        nbr = randomize(init_model(small_config(dims=(3, 3)), 0), 1)
-        ras = randomize(init_model(small_config(mode=RASTER, dims=(3, 3)), 0), 2)
-        report = bench(nbr, ras, GridShape((3, 3)), batch_sizes=(1, 2),
-                       repetitions=2)
-        by_mode = {}
-        for e in report.entries:
-            by_mode.setdefault(e.mode, []).append(e)
-        assert all(e.forward_passes_per_sample == 5
-                   for e in by_mode["neighbor"])
-        assert all(e.forward_passes_per_sample == 9 for e in by_mode["raster"])
-        parsed = json.loads(report.to_json())
-        assert parsed["repetitions"] == 2
-        assert len(parsed["entries"]) == 4
-
-    def test_backbone_mismatch_rejected(self):
-        nbr = init_model(small_config(dims=(3, 3)), 0)
-        ras = init_model(small_config(mode=RASTER, dims=(3, 3), embed_dim=32,
-                                      num_attn_heads=2), 0)
-        with pytest.raises(ValueError):
-            bench(nbr, ras, GridShape((3, 3)))
-
-
 class TestCli:
     def test_schedule_3x3(self, capsys):
         assert cli(["schedule", "--shape", "3x3"]) == EXIT_OK
@@ -193,7 +170,7 @@ class TestCli:
         assert cli(["render", "--input", "/nope.tokens",
                     "--out", "/tmp/x.ppm"]) == EXIT_DATA
 
-    def test_train_and_bench_commands(self, tmp_path, capsys):
+    def test_train_command(self, tmp_path, capsys):
         from tests.test_train import tiny_train_config
         cfg = tiny_train_config(steps=2, eval_interval=2)
         cfg_path = tmp_path / "train.json"
@@ -212,14 +189,41 @@ class TestCli:
         rckpt = tmp_path / "r.ckpt"
         assert cli(["train", "--config", str(rpath), "--out",
                     str(rckpt)]) == EXIT_OK
-        out_json = tmp_path / "bench.json"
-        assert cli(["bench", "--neighbor-ckpt", str(ckpt), "--raster-ckpt",
-                    str(rckpt), "--batch-sizes", "1", "--reps", "2",
-                    "--out", str(out_json)]) == EXIT_OK
-        report = json.loads(out_json.read_text())
-        passes = {e["mode"]: e["forward_passes_per_sample"]
-                  for e in report["entries"]}
-        assert passes == {"neighbor": 7, "raster": 16}
+
+    @pytest.mark.parametrize("mode, passes", [("neighbor", 5), (RASTER, 9)])
+    def test_generate_reports_passes_tokens_and_wall_time(
+            self, tmp_path, capsys, mode, passes):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(small_config(mode=mode, dims=(3, 3)), 0),
+                        ckpt)
+        prefix = str(tmp_path / "s")
+        assert cli(["generate", "--ckpt", str(ckpt), "--num", "2",
+                    "--out-prefix", prefix]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [
+            f"{prefix}_0000.tokens", f"{prefix}_0001.tokens"]
+        for line in lines:
+            # key=value pairs split on whitespace, as perfbench parses them
+            fields = dict(kv.split("=") for kv in line.split(": ")[1].split())
+            assert set(fields) == {"forward_passes", "tokens", "wall_ms"}
+            assert int(fields["forward_passes"]) == passes
+            assert int(fields["tokens"]) == 9
+            assert 0 < float(fields["wall_ms"]) < 60_000
+
+    def test_readme_cli_block_names_every_subcommand(self):
+        import argparse
+        import pathlib
+        from neighborgen.cli import build_parser
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        named = {line.split()[1] for line in readme.read_text().splitlines()
+                 if line.startswith("neighborgen ")}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert named == set(sub.choices)
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        assert cli(["bench", "--neighbor-ckpt", "a", "--raster-ckpt",
+                    "b"]) == EXIT_USAGE
 
     def test_cli_determinism(self, tmp_path, capsys):
         params = randomize(init_model(small_config(dims=(3, 3)), 0), 4)
@@ -252,20 +256,38 @@ class TestNumericFaults:
         assert self.data_errors(capsys) == ["data error: non-finite logits"]
         assert not (tmp_path / "s_0000.tokens").exists()
 
-    def train(self, tmp_path, **kw):
+    def train(self, tmp_path, metrics=None, **kw):
         from tests.test_train import tiny_train_config
         path = tmp_path / "train.json"
         path.write_text(tiny_train_config(steps=4, eval_interval=2,
                                           **kw).to_json())
         return cli(["train", "--config", str(path), "--out",
-                    str(tmp_path / "t.ckpt")])
+                    str(tmp_path / "t.ckpt")]
+                   + (["--metrics", str(metrics)] if metrics else []))
 
     def test_diverging_loss_exits_with_data_error(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            assert self.train(tmp_path, learning_rate=1e30) == EXIT_DATA
-        errors = self.data_errors(capsys)
-        assert len(errors) == 1 and "non-finite training loss" in errors[0]
+        # lr 1e30 overflows the weights in the second Adam update, and the
+        # eval after it is the first check to see that
+        metrics = tmp_path / "m.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.train(tmp_path, learning_rate=1e30,
+                              metrics=metrics) == EXIT_DATA
+        assert self.data_errors(capsys) == [
+            "data error: non-finite eval NLL nan at step 2"]
+        assert not [w for w in caught if w.category is RuntimeWarning]
         assert not (tmp_path / "t.ckpt").exists()
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+        for line in metrics.read_text().splitlines():
+            json.loads(line, parse_constant=reject)
+
+    def test_metric_json_rejects_non_finite_values(self):
+        point = MetricPoint(step=1, train_loss=1.0, eval_nll=math.nan,
+                            wall_ms=1.0)
+        with pytest.raises(ValueError):
+            point.to_json()
 
     def test_non_finite_gradient_exits_with_data_error(self, tmp_path,
                                                        capsys, monkeypatch):
@@ -293,6 +315,22 @@ class TestMalformedTrainConfig:
     def test_exits_with_data_error(self, tmp_path, capsys, text):
         path = tmp_path / "train.json"
         path.write_text(text)
+        assert cli(["train", "--config", str(path), "--out",
+                    str(tmp_path / "t.ckpt")]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (tmp_path / "t.ckpt").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("eval_interval", 0), ("total_steps", 2.5), ("learning_rate", "x"),
+        ("seed", -1)])
+    def test_bad_field_value_exits_with_data_error(self, tmp_path, capsys,
+                                                   field, value):
+        from tests.test_train import tiny_train_config
+        d = json.loads(tiny_train_config(steps=2).to_json())
+        d[field] = value
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(d))
         assert cli(["train", "--config", str(path), "--out",
                     str(tmp_path / "t.ckpt")]) == EXIT_DATA
         err = capsys.readouterr().err.splitlines()

@@ -315,7 +315,30 @@ def legacy_checkpoint(p: ModelParams) -> bytes:
     return b"NARCKPT1" + payload + h.to_bytes(8, "little")
 
 
+def signed_checkpoint(config_json: bytes, tensors: bytes = b"") -> bytes:
+    """A NARCKPT2 file with any config bytes and a valid CRC-32, so a
+    reader gets past the checksum to the config parser."""
+    payload = len(config_json).to_bytes(4, "little") + config_json + tensors
+    return b"NARCKPT2" + payload + zlib.crc32(payload).to_bytes(4, "little")
+
+
 class TestCheckpoint:
+    def test_hostile_block_count_is_rejected_in_bounded_memory(self,
+                                                                tmp_path):
+        import tracemalloc
+        d = json.loads(small_config().to_json())
+        d["num_blocks"] = 10**5
+        path = tmp_path / "hostile.ckpt"
+        path.write_bytes(signed_checkpoint(json.dumps(d).encode()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated tensor"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     def test_format_is_crc32_narckpt2(self, tmp_path):
         p = randomize(init_model(small_config(), 0), 9)
         path = tmp_path / "m.ckpt"

@@ -15,6 +15,7 @@ and temporal neighbors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -39,6 +40,13 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
+        if self.num_classes < 1:
+            raise ValueError("num_classes must be >= 1")
+        if (isinstance(self.coupling, bool)
+                or not isinstance(self.coupling, (int, float))
+                or not math.isfinite(self.coupling)):
+            raise ValueError(f"coupling must be a finite number, "
+                             f"got {self.coupling!r}")
         if self.generator not in (POTTS, SHAPES):
             raise ValueError(f"unknown generator {self.generator!r}")
 

@@ -5,6 +5,7 @@ overlap mixing, classifier-free guidance, and the raster baseline sampler.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -29,12 +30,12 @@ class SamplingConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be in [0, 2**64)")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be finite and > 0")
         if self.top_k < 0:
             raise ValueError("top_k must be >= 0")
-        if self.cfg_scale < 0:
-            raise ValueError("cfg_scale must be >= 0")
+        if not (math.isfinite(self.cfg_scale) and self.cfg_scale >= 0):
+            raise ValueError("cfg_scale must be finite and >= 0")
 
 
 @dataclass

@@ -103,7 +103,26 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix multiply with numpy broadcasting on leading dims."""
+    """Batched matrix multiply with numpy broadcasting on leading dims.
+
+    A 2-D `b` (a weight) under a batched `a` runs as one 2-D GEMM over all
+    leading rows, forward and backward, so its gradient needs no batched
+    product and no sum over the batch.
+    """
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        lead = a.data.shape[:-1]
+        out = Tensor((a.data.reshape(-1, b.data.shape[0]) @ b.data)
+                     .reshape(lead + b.data.shape[1:]), (a, b))
+
+        def bw2d(g):
+            a2 = a.data.reshape(-1, b.data.shape[0])
+            g2 = g.reshape(a2.shape[0], -1)
+            _acc(a, (g2 @ b.data.T).reshape(a.data.shape))
+            _acc(b, a2.T @ g2)
+
+        out._backward = bw2d
+        return out
+
     out = Tensor(a.data @ b.data, (a, b))
 
     def bw(g):
@@ -164,14 +183,21 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 
 def take(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
-    """Select slices along an axis; backward scatter-adds."""
+    """Select slices along an axis; backward scatter-adds.
+
+    A 0-d index selects one slice, which its backward adds into directly;
+    an array index may repeat, so it scatters with `np.add.at`.
+    """
     idx = np.asarray(idx)
     out = Tensor(np.take(a.data, idx, axis=axis), (a,))
 
     def bw(g):
-        # move target axis to front for add.at indexing
+        # move target axis to front for indexing
         acc_m = np.moveaxis(_ensure_grad(a), axis, 0)
-        np.add.at(acc_m, idx, np.moveaxis(g, axis, 0))
+        if idx.ndim == 0:
+            acc_m[idx] += g
+        else:
+            np.add.at(acc_m, idx, np.moveaxis(g, axis, 0))
 
     out._backward = bw
     return out

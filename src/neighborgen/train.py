@@ -44,6 +44,16 @@ class TrainConfig:
                self.num_eval_samples) < 1 or min(self.total_steps,
                                                  self.seed) < 0:
             raise ValueError("counts must be positive, steps and seed >= 0")
+        data, model = self.data, self.model
+        if data.shape != model.shape:
+            raise ValueError(f"data.shape {list(data.shape.dims)} differs "
+                             f"from model.shape {list(model.shape.dims)}")
+        if data.vocab_size > model.vocab_size:
+            raise ValueError(f"data.vocab_size {data.vocab_size} exceeds "
+                             f"model.vocab_size {model.vocab_size}")
+        if data.num_classes > model.num_classes:
+            raise ValueError(f"data.num_classes {data.num_classes} exceeds "
+                             f"model.num_classes {model.num_classes}")
 
     def to_json(self) -> str:
         d = asdict(self)

@@ -301,6 +301,19 @@ class TestNumericFaults:
         assert self.data_errors(capsys) == [
             "data error: non-finite gradient for 'w'"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--temperature", "nan"), ("--temperature", "inf"),
+        ("--cfg-scale", "nan"), ("--cfg-scale", "inf")])
+    def test_non_finite_sampling_flag_is_a_usage_error(self, tmp_path, capsys,
+                                                       flag, value):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(small_config(dims=(3, 3)), 0), ckpt)
+        assert cli(["generate", "--ckpt", str(ckpt), flag, value,
+                    "--out-prefix", str(tmp_path / "s")]) == EXIT_USAGE
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"usage error: {field}")
+        assert not (tmp_path / "s_0000.tokens").exists()
+
     def test_seed_outside_the_key_is_a_usage_error(self, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(init_model(small_config(dims=(3, 3)), 0), ckpt)
@@ -323,12 +336,19 @@ class TestMalformedTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("eval_interval", 0), ("total_steps", 2.5), ("learning_rate", "x"),
-        ("seed", -1)])
+        ("seed", -1),
+        # the data section must fit the model (model: 4x4, vocab 4, 3 classes)
+        ("data.vocab_size", 9), ("data.coupling", "x"), ("data.shape", [5, 5]),
+        ("data.num_classes", 0), ("data.num_classes", 7)])
     def test_bad_field_value_exits_with_data_error(self, tmp_path, capsys,
                                                    field, value):
         from tests.test_train import tiny_train_config
         d = json.loads(tiny_train_config(steps=2).to_json())
-        d[field] = value
+        *path, name = field.split(".")
+        section = d
+        for key in path:
+            section = section[key]
+        section[name] = value
         path = tmp_path / "train.json"
         path.write_text(json.dumps(d))
         assert cli(["train", "--config", str(path), "--out",

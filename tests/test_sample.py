@@ -103,6 +103,16 @@ class TestSampleToken:
         with pytest.raises(ValueError):
             SamplingConfig(cfg_scale=-0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", np.nan), ("temperature", np.inf),
+        ("cfg_scale", np.nan), ("cfg_scale", np.inf)])
+    def test_non_finite_config_rejected(self, field, value):
+        # temperature nan sampled token 0 for every uniform; inf with top_k 3
+        # could return a token outside the top 3; cfg_scale nan surfaced
+        # later as "non-finite logits"
+        with pytest.raises(ValueError, match=field):
+            SamplingConfig(**{field: value}, top_k=3)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             sample_token(np.array([0.0, np.inf]), SamplingConfig(),

@@ -221,6 +221,74 @@ class TestGradCheck:
         assert T.grad_check(f, params, n_samples=64) < 1e-5
 
 
+class TestWeightProduct:
+    """matmul of a batched `a` by a 2-D weight runs as one 2-D GEMM; its
+    weight gradient sums over every leading row."""
+
+    @pytest.mark.parametrize("lead, axes", [((3, 4), None),
+                                            ((2, 3, 4), (1, 0, 2, 3))])
+    def test_grad_check_over_batched_rows(self, lead, axes):
+        rng = np.random.default_rng(len(lead))
+        params = {"x": rand(rng, *lead, 6), "w": rand(rng, 6, 5)}
+        rows = math.prod(lead)
+        tgt = rng.integers(0, 5, rows)
+
+        def f(p):
+            # the 4-D case goes through a transpose: a non-contiguous `a`
+            x = p["x"] if axes is None else T.transpose(p["x"], axes)
+            return T.cross_entropy(T.reshape(T.matmul(x, p["w"]), (rows, 5)),
+                                   tgt)
+
+        assert T.grad_check(f, params, n_samples=1000) < 1e-5
+
+    def test_gradients_match_batched_reference(self):
+        rng = np.random.default_rng(12)
+        a, w = rand(rng, 4, 65, 128), rand(rng, 128, 384)
+        out = T.matmul(a, w)
+        loss = T.cross_entropy(T.reshape(out, (4 * 65, 384)),
+                               rng.integers(0, 384, 4 * 65))
+        loss.backward()
+        g = out.grad
+        # float32 dot-product bound: K * eps * sum of |terms|
+        eps = np.finfo(np.float32).eps
+        ref_w = (np.swapaxes(a.data, -1, -2) @ g).sum(0)
+        bound_w = 4 * 65 * eps * (np.swapaxes(np.abs(a.data), -1, -2)
+                                  @ np.abs(g)).sum(0)
+        assert (np.abs(w.grad - ref_w) <= bound_w).all()
+        ref_a = g @ w.data.T
+        bound_a = 384 * eps * (np.abs(g) @ np.abs(w.data).T)
+        assert (np.abs(a.grad - ref_a) <= bound_a).all()
+
+
+class TestTake:
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_scalar_index_backward_equals_add_at(self, axis):
+        rng = np.random.default_rng(13)
+        a = rand(rng, 3, 2, 3, 5)
+        # slice 1 is taken twice, so its two gradients must add
+        index = (0, 1, 2, 1)
+        parts = [T.take(a, np.array(i), axis=axis) for i in index]
+        flat = T.concat([T.reshape(p, (-1, 5)) for p in parts], axis=0)
+        loss = T.cross_entropy(flat, rng.integers(0, 5, flat.shape[0]))
+        loss.backward()
+        ref = np.zeros_like(a.data)
+        for i, p in zip(index, parts):
+            np.add.at(np.moveaxis(ref, axis, 0), np.array(i), p.grad)
+        assert np.array_equal(a.grad, ref)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_repeated_array_index_accumulates(self, axis):
+        a = T.Tensor(np.arange(12, dtype=np.float64).reshape(3, 4))
+        out = T.take(a, np.array([0, 0, 2]), axis=axis)
+        rows = T.reshape(out, (-1, out.shape[-1]))
+        T.cross_entropy(rows, np.zeros(rows.shape[0], np.int64)).backward()
+        g = np.moveaxis(out.grad, axis, 0)
+        expect = np.zeros_like(np.moveaxis(a.data, axis, 0))
+        expect[0] = g[0] + g[1]
+        expect[2] = g[2]
+        assert np.array_equal(np.moveaxis(a.grad, axis, 0), expect)
+
+
 class TestDeterminism:
     def test_forward_bit_identical(self):
         def run():

@@ -126,6 +126,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.num < 1:
+        raise ValueError("--num must be >= 1")
     params = load_checkpoint(args.ckpt)
     shape = params.config.shape
     base = _sampling_config(args)
@@ -191,7 +193,7 @@ def cli(argv=None) -> int:
         return _COMMANDS[args.command](args)
     # NonFiniteError and JSONDecodeError are ValueErrors: catch them first
     except (CheckpointError, TokenFormatError, NonFiniteError,
-            json.JSONDecodeError, FileNotFoundError) as e:
+            json.JSONDecodeError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as e:

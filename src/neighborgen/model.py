@@ -206,6 +206,7 @@ class _SequenceLayout:
     table in its order; in raster mode slot i predicts slot i + 1 along
     no single axis (axis -1).
     by_head: per decoding head, its (src, tgt) routes in the same order.
+    `axis_src` is the same neighbor-mode routes as one dense table.
     """
 
     def __init__(self, shape: GridShape, mode: str,
@@ -247,6 +248,19 @@ class _SequenceLayout:
         bias = self.mask.bias()
         bias.flags.writeable = False
         return bias
+
+    @functools.cached_property
+    def axis_src(self) -> np.ndarray:
+        """(axis, token slot t) int64 table, built on first use: the slot
+        whose route along that axis predicts slot t + 1.  0 is the
+        condition, which predicts the origin along every axis; -1 marks an
+        axis with no route.  Neighbor mode only."""
+        if self.schedule is None:
+            raise ValueError("raster routes follow no grid axis")
+        table = np.full((len(self.coords), self.step.size), -1, dtype=np.int64)
+        table[self.axis, self.tgt - 1] = self.src
+        table.flags.writeable = False
+        return table
 
 
 @functools.lru_cache(maxsize=16)
@@ -321,6 +335,16 @@ def raster_forward_train(p: ModelParams, grids: np.ndarray,
     return _forward_routed(p, grids, class_ids, sequence_layout(cfg))
 
 
+def check_batch(cfg: ModelConfig, grids: np.ndarray,
+                class_ids: np.ndarray) -> None:
+    """Raise ValueError unless `grids` is a (B, *cfg.shape.dims) batch and
+    every class id is a class of cfg or its null class."""
+    if grids.shape[1:] != cfg.shape.dims:
+        raise ValueError(f"grid shape {grids.shape[1:]} != config {cfg.shape.dims}")
+    if np.any(class_ids < 0) or np.any(class_ids > cfg.null_class):
+        raise ValueError("class id out of range")
+
+
 def _forward_routed(p: ModelParams, grids, class_ids,
                     layout: _SequenceLayout):
     """Embed, run backbone and heads under the layout's mask, and average
@@ -331,10 +355,7 @@ def _forward_routed(p: ModelParams, grids, class_ids,
     if grids.ndim == cfg.shape.ndim:
         grids = grids[None]
         class_ids = np.atleast_1d(class_ids)
-    if grids.shape[1:] != cfg.shape.dims:
-        raise ValueError(f"grid shape {grids.shape[1:]} != config {cfg.shape.dims}")
-    if np.any(class_ids < 0) or np.any(class_ids > cfg.null_class):
-        raise ValueError("class id out of range")
+    check_batch(cfg, grids, class_ids)
     tokens = grids.reshape(grids.shape[0], -1)[:, layout.raster_idx]
     x = _embed_train(p, layout, tokens, class_ids)
     logits = _backbone_and_heads(p, x, layout.bias)

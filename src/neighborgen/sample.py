@@ -4,7 +4,6 @@ overlap mixing, classifier-free guidance, and the raster baseline sampler.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -146,73 +145,18 @@ def _pos_rng(seed: int, step: int, flat_index: int) -> _Uniform:
     return _Uniform(float(philox_uniform(seed, step, flat_index)))
 
 
-@dataclass(frozen=True)
-class _StepPlan:
-    """Routing for one pass: the positions it decodes and, per route that
-    predicts one of them, the decoding head and the source slot among the
-    pass's new slots.  `by_rank[r]` holds (route ids, target ids) of every
-    target's r-th contribution, in target-table order."""
-
-    positions: tuple
-    flat: np.ndarray  # raster index of each decoded position
-    heads: np.ndarray
-    sources: np.ndarray
-    by_rank: tuple[tuple[np.ndarray, np.ndarray], ...]
-    counts: np.ndarray  # contributions per decoded position (float64)
-
-    def __post_init__(self):
-        # plans are cached and shared by every generate call
-        for a in (self.flat, self.heads, self.sources, self.counts,
-                  *(a for pair in self.by_rank for a in pair)):
-            a.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=8)
-def _wavefront_plan(layout):
-    """One `_StepPlan` per schedule step, built once per sequence layout.
-
-    Pass 0 feeds the condition slot, which predicts the origin through every
-    axis; pass s >= 1 feeds the step-(s-1) tokens, whose routes predict the
-    step-s positions.
-    """
-    step = layout.step
-    starts = np.flatnonzero(np.diff(step, prepend=-1))
-    tgt = layout.tgt - 1
-    tgt_step = step[tgt]
-    # each source is a slot of the previous pass; the condition is pass 0
-    sources = np.where(layout.src == 0, 0,
-                       layout.src - 1 - starts[tgt_step - 1])
-    targets = tgt - starts[tgt_step]
-    # a target's r-th route in table order is its r-th contribution
-    by_target = np.argsort(tgt, kind="stable")
-    grouped = tgt[by_target]
-    ranks = np.empty_like(tgt)
-    ranks[by_target] = np.arange(tgt.size) - np.searchsorted(grouped, grouped)
-    plan = []
-    ends = np.append(starts[1:], step.size)
-    for s, (start, end) in enumerate(zip(starts, ends)):
-        ids = np.flatnonzero(tgt_step == s)
-        heads, srcs, tgts, rank = (layout.head[ids], sources[ids],
-                                   targets[ids], ranks[ids])
-        by_rank = tuple((np.flatnonzero(rank == r), tgts[rank == r])
-                        for r in range(int(rank.max()) + 1))
-        plan.append(_StepPlan(layout.order[start:end],
-                              layout.raster_idx[start:end], heads, srcs,
-                              by_rank, np.bincount(tgts).astype(np.float64)))
-    return tuple(plan)
-
-
 def generate(params: ModelParams, class_id: int, shape: GridShape,
              config: SamplingConfig):
     """Near-to-far generation: one forward pass per Manhattan-distance step.
 
     Pass 1 feeds the condition slot (plus a null-class twin when guidance is
     active) and predicts the origin through all heads, mixed.  Pass s >= 2
-    feeds the step-(s-2) tokens and samples all step-(s-1) tokens: every
-    per-axis prediction is routed to its target and guided, and the
-    log-softmaxed contributions to each target are averaged (`mix_logits`,
-    done for the whole wavefront at once).  Returns (token grid,
-    GenerationStats).
+    feeds the step-(s-2) tokens and samples all step-(s-1) tokens.  The
+    layout's route table `axis_src` names each target's source slot along
+    every axis: each axis's prediction is gathered through that axis's head
+    and guided, and the log-softmaxed contributions of the axes that have a
+    route are averaged, for the whole wavefront at once and bit for bit as
+    `mix_logits` averages them.  Returns (token grid, GenerationStats).
     """
     cfg = params.config
     if cfg.mode != NEIGHBOR:
@@ -222,10 +166,13 @@ def generate(params: ModelParams, class_id: int, shape: GridShape,
     if not (0 <= class_id < cfg.num_classes):
         raise ValueError("class id out of range")
     layout = sequence_layout(cfg)
-    plan = _wavefront_plan(layout)
-    # every uniform of the grid, in slot order (each step is a run of slots)
-    uniforms = philox_uniform(config.seed, layout.step,
-                              layout.raster_idx).tolist()
+    step = layout.step
+    # each pass decodes one wavefront: a run of slots with one step value
+    starts = np.flatnonzero(np.diff(step, prepend=-1)).tolist()
+    ends = starts[1:] + [step.size]
+    heads = np.array([cfg.head_for_axis(a) for a in range(shape.ndim)])
+    # every uniform of the grid, in slot order
+    uniforms = philox_uniform(config.seed, step, layout.raster_idx).tolist()
     use_cfg = config.cfg_scale != 1.0
     class_ids = [class_id, cfg.null_class] if use_cfg else [class_id]
 
@@ -234,33 +181,37 @@ def generate(params: ModelParams, class_id: int, shape: GridShape,
     stats = GenerationStats()
     cache = KVCache.empty(cfg)
     ids = None
-    for s, step in enumerate(plan):
+    for s, (start, end) in enumerate(zip(starts, ends)):
         t0 = time.perf_counter()
         if s == 0:
             x = embed_condition(params, class_ids)
+            first = 0  # the condition slot
         else:
-            emb = embed_tokens(params, ids, plan[s - 1].positions)
+            emb = embed_tokens(params, ids, layout.order[starts[s - 1]:start])
             x = np.repeat(emb[None], len(class_ids), axis=0)
+            first = starts[s - 1] + 1
         logits = forward_incremental(params, x, cache)
         stats.forward_passes += 1
-        # (routes, class rows, vocab)
-        routed = np.stack(logits)[step.heads, :, step.sources]
+        # (axes, targets): each target's source slot per axis, -1 if none
+        src = layout.axis_src[:, start:end]
+        present = src >= 0
+        # (axes, targets, class rows, vocab)
+        routed = np.stack(logits)[heads[:, None], :,
+                                  np.where(present, src - first, 0)]
         if use_cfg:
-            guided = apply_cfg(routed[:, 0], routed[:, 1], config.cfg_scale)
+            guided = apply_cfg(routed[:, :, 0], routed[:, :, 1],
+                               config.cfg_scale)
         else:
-            guided = routed[:, 0]
+            guided = routed[:, :, 0]
         contribs = log_softmax(guided.astype(np.float64))
-        # summed rank by rank, in mix_logits' order, so the means match it
-        mixed = np.zeros((len(step.flat), contribs.shape[1]))
-        for route_ids, targets in step.by_rank:
-            mixed[targets] += contribs[route_ids]
-        mixed /= step.counts[:, None]
-        done = stats.tokens_generated
-        ids = np.array([
-            sample_token(row, config, _Uniform(u))
-            for row, u in zip(mixed, uniforms[done:done + len(mixed)])],
-            dtype=np.int64)
-        flat_grid[step.flat] = ids
+        # absent axes add an exact 0.0, and the sum runs in axis order, so
+        # each row is bit-identical to mix_logits over its predecessors
+        contribs[~present] = 0.0
+        mixed = contribs.sum(axis=0) / present.sum(axis=0)[:, None]
+        ids = np.array([sample_token(row, config, _Uniform(u))
+                        for row, u in zip(mixed, uniforms[start:end])],
+                       dtype=np.int64)
+        flat_grid[layout.raster_idx[start:end]] = ids
         stats.tokens_generated += len(ids)
         stats.step_wall_ms.append((time.perf_counter() - t0) * 1000)
 

@@ -13,9 +13,9 @@ import numpy as np
 from . import tensor as T
 from .data import SyntheticSpec, gen_synthetic
 from .grid import build_schedule  # noqa: F401 (perfbench/tracing.py wraps it)
-from .model import (NEIGHBOR, RASTER, ModelConfig, ModelParams, forward_train,
-                    infer_logits, init_model, raster_forward_train,
-                    sequence_layout)
+from .model import (NEIGHBOR, RASTER, ModelConfig, ModelParams, check_batch,
+                    forward_train, infer_logits, init_model,
+                    raster_forward_train, sequence_layout)
 from .sample import log_softmax
 
 
@@ -143,15 +143,17 @@ def train_loop(config: TrainConfig, log=None):
             drop = rng.random(config.batch_size) < config.uncond_prob
             classes = np.where(drop, cfg.null_class, classes)
         if cfg.mode == RASTER:
-            _, loss = raster_forward_train(params, grids, classes)
+            loss = raster_forward_train(params, grids, classes)[1]
         else:
-            _, loss = forward_train(params, grids, classes, layout.schedule,
-                                    layout.mask)
+            loss = forward_train(params, grids, classes, layout.schedule,
+                                 layout.mask)[1]
         last_loss = float(loss.data)
         if not math.isfinite(last_loss):
             raise T.NonFiniteError(
                 f"non-finite training loss {last_loss} at step {step}")
         loss.backward()
+        # the graph and its gradients die here, not during the next forward
+        del loss
         grads = {k: v.grad if v.grad is not None else np.zeros_like(v.data)
                  for k, v in params.tensors.items()}
         lr = config.learning_rate
@@ -182,6 +184,7 @@ def _scored_chunks(params: ModelParams, layout, dataset, batch_size: int):
         chunk = dataset[start:start + rows]
         grids = np.stack([g for g, _ in chunk])
         classes = np.array([c for _, c in chunk])
+        check_batch(params.config, grids, classes)
         tokens = grids.reshape(len(chunk), -1)[:, layout.raster_idx]
         yield tokens, infer_logits(params, tokens, classes, layout.mask,
                                    layout)
@@ -247,12 +250,8 @@ def overlap_nll(params: ModelParams, dataset, batch_size: int = 16):
 def _overlapped_targets(layout):
     """Target slots with a non-condition route on every axis, ascending,
     and their source slots as an (axis, target) array."""
-    inner = layout.src != 0
-    src_of = np.zeros((len(layout.coords), layout.raster_idx.size + 1),
-                      dtype=np.int64)
-    src_of[layout.axis[inner], layout.tgt[inner]] = layout.src[inner]
-    targets = np.flatnonzero((src_of != 0).all(axis=0))
-    return targets, src_of[:, targets]
+    targets = np.flatnonzero((layout.axis_src > 0).all(axis=0)) + 1
+    return targets, layout.axis_src[:, targets - 1]
 
 
 def ablate_single_head(config: TrainConfig, log=None):

@@ -170,6 +170,46 @@ class TestCli:
         assert cli(["render", "--input", "/nope.tokens",
                     "--out", "/tmp/x.ppm"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("command, flag", [
+        ("render", "--out"), ("render", "--input"), ("train", "--metrics"),
+        ("train", "--out"), ("train", "--config"), ("schedule", "--out"),
+        ("inspect", "--ckpt"), ("generate", "--ckpt")])
+    def test_directory_path_exits_with_data_error(self, tmp_path, capsys,
+                                                  command, flag):
+        from tests.test_train import tiny_train_config
+        tokens = tmp_path / "g.tokens"
+        save_tokens(tokens, np.zeros((3, 3), np.int64))
+        config = tmp_path / "train.json"
+        config.write_text(tiny_train_config(steps=1).to_json())
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(small_config(), 0), ckpt)
+        paths = {
+            "render": {"--input": tokens, "--out": tmp_path / "g.ppm"},
+            "train": {"--config": config, "--out": tmp_path / "t.ckpt",
+                      "--metrics": tmp_path / "m.jsonl"},
+            "schedule": {"--shape": "3x3", "--out": tmp_path / "s.txt"},
+            "inspect": {"--ckpt": ckpt},
+            "generate": {"--ckpt": ckpt,
+                         "--out-prefix": tmp_path / "s"},
+        }[command]
+        paths[flag] = tmp_path
+        argv = [command] + [str(x) for kv in paths.items() for x in kv]
+        capsys.readouterr()
+        assert cli(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("num", ["0", "-2"])
+    def test_generate_num_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                     num):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(small_config(), 0), ckpt)
+        prefix = tmp_path / "s"
+        assert cli(["generate", "--ckpt", str(ckpt), "--num", num,
+                    "--out-prefix", str(prefix)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not list(tmp_path.glob("s_*"))
+
     def test_train_command(self, tmp_path, capsys):
         from tests.test_train import tiny_train_config
         cfg = tiny_train_config(steps=2, eval_interval=2)

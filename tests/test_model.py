@@ -8,7 +8,8 @@ import pytest
 from neighborgen import tensor as T
 from neighborgen.cli import EXIT_DATA, cli
 from neighborgen.grid import (AttentionMask, GridShape, build_mask,
-                             build_raster_mask, build_schedule, target_table)
+                             build_raster_mask, build_schedule, predecessors,
+                             target_table)
 from neighborgen.model import (NEIGHBOR, RASTER, CheckpointError, KVCache,
                                ModelConfig, ModelParams, embed_condition,
                                embed_tokens, forward_incremental,
@@ -175,6 +176,27 @@ class TestSequenceLayout:
         for h, (src, tgt) in enumerate(layout.by_head):
             assert list(zip(src.tolist(), tgt.tolist())) == [
                 (s, t) for s, a, t in table if cfg.head_for_axis(a) == h]
+
+    @pytest.mark.parametrize("dims,shared", [((3, 4), False),
+                                             ((2, 3, 3), False),
+                                             ((2, 3, 3), True)])
+    def test_axis_src_is_the_predecessor_table(self, dims, shared):
+        cfg = small_config(dims=dims, shared_head=shared)
+        layout = sequence_layout(cfg)
+        sched = layout.schedule
+        # the condition predicts the origin along every axis
+        expected = np.full((cfg.shape.ndim, cfg.shape.num_tokens), -1)
+        expected[:, 0] = 0
+        for p in sched.order:
+            for q, a in predecessors(p, cfg.shape):
+                expected[a, sched.slot_of(p) - 1] = sched.slot_of(q)
+        assert layout.axis_src.dtype == np.int64
+        assert np.array_equal(layout.axis_src, expected)
+        assert layout.axis_src is layout.axis_src
+        with pytest.raises(ValueError):
+            layout.axis_src[0, 1] = 0
+        with pytest.raises(ValueError):
+            sequence_layout(small_config(mode=RASTER, dims=dims)).axis_src
 
     def test_raster_routes_are_the_causal_chain(self):
         cfg = small_config(mode=RASTER, dims=(3, 4))

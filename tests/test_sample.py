@@ -277,6 +277,51 @@ class TestGenerate:
             slow = full_recompute_greedy(p, 0, scfg)
             assert np.array_equal(fast, slow), seed
 
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 3, 3)])
+    @pytest.mark.parametrize("cfg_scale", [0.0, 1.0, 2.0])
+    def test_wavefront_rows_are_per_position_mix_logits(self, dims, cfg_scale,
+                                                        monkeypatch):
+        """Every row the wavefront mixes equals, byte for byte, mix_logits
+        over that position's guided per-axis predictions from the same
+        pass."""
+        import neighborgen.sample as sample_mod
+        forward = sample_mod.forward_incremental
+        passes, rows = [], []
+
+        def recording_forward(*args):
+            passes.append(forward(*args))
+            return passes[-1]
+
+        def recording_sample(row, config, rng):
+            rows.append(np.array(row, copy=True))
+            return sample_token(row, config, rng)
+
+        monkeypatch.setattr(sample_mod, "forward_incremental",
+                            recording_forward)
+        monkeypatch.setattr(sample_mod, "sample_token", recording_sample)
+        cfg = small_config(dims=dims)
+        p = randomize(init_model(cfg, 0), 40)
+        generate(p, 1, cfg.shape, SamplingConfig(seed=4, cfg_scale=cfg_scale))
+
+        sched = build_schedule(cfg.shape)
+        expected = []
+        for s, logits in enumerate(passes):
+            fed = [] if s == 0 else list(sched.step_positions(s - 1))
+            for q in sched.step_positions(s):
+                sources = ([(0, a) for a in range(cfg.shape.ndim)] if s == 0
+                           else [(fed.index(r), a)
+                                 for r, a in predecessors(q, cfg.shape)])
+                contribs = []
+                for i, a in sources:
+                    head = logits[cfg.head_for_axis(a)]
+                    contribs.append(
+                        head[0, i] if cfg_scale == 1.0
+                        else apply_cfg(head[0, i], head[1, i], cfg_scale))
+                expected.append(mix_logits(contribs))
+        assert len(rows) == len(expected) == cfg.shape.num_tokens
+        for got, want in zip(rows, expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_mode_and_shape_guards(self):
         p = init_model(small_config(mode=RASTER), 0)
         with pytest.raises(ValueError):

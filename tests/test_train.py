@@ -83,6 +83,25 @@ class TestTrainLoop:
         params, metrics = train_loop(cfg)
         assert math.isfinite(metrics[-1].train_loss)
 
+    def test_previous_step_graph_is_released_before_next_forward(
+            self, monkeypatch):
+        import weakref
+        import neighborgen.train as train_mod
+        forward = train_mod.forward_train
+        refs, alive = [], []
+
+        def recording_forward(*args):
+            alive.append([r() is not None for r in refs])
+            logits, loss = forward(*args)
+            # Tensor has no weakref slot; its data array lives exactly as
+            # long as the tensor does
+            refs[:] = [weakref.ref(loss.data), weakref.ref(logits[0].data)]
+            return logits, loss
+
+        monkeypatch.setattr(train_mod, "forward_train", recording_forward)
+        train_loop(tiny_train_config(steps=3))
+        assert alive == [[], [False, False], [False, False]]
+
 
 class TestEvalNll:
     def test_uniform_model(self):
@@ -104,6 +123,24 @@ class TestEvalNll:
         cfg = tiny_train_config()
         with pytest.raises(ValueError):
             eval_nll(init_model(cfg.model, 0), [])
+
+    @pytest.mark.parametrize("dims", [(4, 16), (4, 4, 4), (64,)])
+    def test_wrong_grid_shape_rejected(self, dims):
+        params = init_model(tiny_train_config(dims=(8, 8)).model, 0)
+        data = [(np.zeros(dims, np.int64), 0)] * 2
+        for score in (eval_nll, overlap_nll):
+            with pytest.raises(ValueError, match="grid shape"):
+                score(params, data)
+
+    @pytest.mark.parametrize("class_id", [-1, 4, 9])
+    def test_class_out_of_range_rejected(self, class_id):
+        # ids 0..2 are classes and 3 the null class
+        params = init_model(tiny_train_config().model, 0)
+        data = [(np.zeros((4, 4), np.int64), 0),
+                (np.zeros((4, 4), np.int64), class_id)]
+        for score in (eval_nll, overlap_nll):
+            with pytest.raises(ValueError, match="class id"):
+                score(params, data)
 
     def test_term_count_matches_target_table(self):
         shape = GridShape((4, 4))

@@ -23,14 +23,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .grid import (AttentionMask, GridShape, Schedule, build_mask,
-                   build_raster_mask, build_schedule, target_table)
+from .grid import AttentionMask, GridShape, Schedule, _wavefront_mask
 
 NEIGHBOR = "neighbor"
 RASTER = "raster"
 
 CKPT_MAGIC = b"NARCKPT2"  # CRC-32 trailer
-LEGACY_CKPT_MAGIC = b"NARCKPT1"  # FNV-1a64 trailer, still read
 
 
 @dataclass(frozen=True)
@@ -195,37 +193,51 @@ class _SequenceLayout:
     axis->head map, and shared read-only by training, evaluation and
     generation.
 
-    schedule: the near-to-far schedule of the slots (None in raster mode).
-    order, raster_idx, coords, step: the positions of slots 1..N, their
-    raster indices, their per-axis coordinates and their wavefronts (the
-    Manhattan distance; the raster index in raster mode).  `mask` lets a
-    slot see every slot of an earlier or equal wavefront; `bias` is its
-    additive form.
+    step: each position's wavefront, the sum of its coordinates (its
+    Manhattan distance from the origin) in neighbor mode and its raster
+    index in raster mode.  Slot 0 is the condition; slots 1..N hold the
+    positions sorted stably by step, which in neighbor mode is the
+    schedule's (distance, lexicographic) order.
+    order, raster_idx, coords: the positions of slots 1..N, their raster
+    indices and their per-axis coordinates.  `mask` lets a slot see every
+    slot of an earlier or equal step; `bias` is its additive form.
     src, axis, head, tgt: one entry per route (source slot, grid axis,
-    decoding head, target slot).  In neighbor mode they are the target
-    table in its order; in raster mode slot i predicts slot i + 1 along
-    no single axis (axis -1).
+    decoding head, target slot).  Neighbor routes are grid.target_table's
+    in its (source slot, axis) order: the condition predicts the origin
+    along every axis, then each slot its next in-bounds neighbour along
+    each axis.  That order fixes the order of the loss's sum and, under a
+    shared head, of its gradient's scatter-add, so it must not change.  In
+    raster mode slot i predicts slot i + 1 along no single axis (axis -1).
     by_head: per decoding head, its (src, tgt) routes in the same order.
     `axis_src` is the same neighbor-mode routes as one dense table.
     """
 
     def __init__(self, shape: GridShape, mode: str,
                  axis_heads: tuple[int, ...]):
+        dims, n = shape.dims, shape.num_tokens
+        coords = np.indices(dims).reshape(len(dims), n)
+        wave = np.arange(n) if mode == RASTER else coords.sum(axis=0)
+        self.raster_idx = np.argsort(wave, kind="stable")
+        coords = coords[:, self.raster_idx]
+        self.coords, self.step = list(coords), wave[self.raster_idx]
+        self.order = tuple(zip(*coords.tolist()))
         if mode == RASTER:
-            self.schedule = None
-            self.order = tuple(shape.positions())
-            slots = np.arange(shape.num_tokens + 1)
+            slots = np.arange(n + 1)
             self.src, self.tgt = slots[:-1], slots[1:]
-            self.axis = np.full(shape.num_tokens, -1)
+            self.axis = np.full(n, -1)
         else:
-            self.schedule = build_schedule(shape)
-            self.order = self.schedule.order
-            self.src, self.axis, self.tgt = np.array(
-                target_table(self.schedule), dtype=np.int64).T.copy()
+            slot_of = np.empty(n, dtype=np.int64)
+            slot_of[self.raster_idx] = np.arange(1, n + 1)
+            # (slot - 1, axis) of every in-bounds successor; nonzero scans
+            # row-major, so by slot, then axis
+            pos, axis = np.nonzero(coords.T + 1 < dims)
+            succ = coords[:, pos] + np.eye(len(dims), dtype=np.int64)[:, axis]
+            cond = np.arange(len(dims))  # condition -> origin (slot 1)
+            self.src = np.concatenate([np.zeros_like(cond), pos + 1])
+            self.axis = np.concatenate([cond, axis])
+            self.tgt = np.concatenate([
+                np.ones_like(cond), slot_of[np.ravel_multi_index(succ, dims)]])
         self.head = np.array(axis_heads)[self.axis]
-        self.coords = list(np.array(self.order, dtype=np.int64).T)
-        self.raster_idx = np.ravel_multi_index(self.coords, shape.dims)
-        self.step = self.raster_idx if mode == RASTER else sum(self.coords)
         self.by_head = tuple(
             (self.src[self.head == h], self.tgt[self.head == h])
             for h in range(max(axis_heads) + 1))
@@ -236,9 +248,8 @@ class _SequenceLayout:
 
     @functools.cached_property
     def mask(self) -> AttentionMask:
-        """The mode's attention mask, built on first use."""
-        mask = (build_raster_mask(self.step.size) if self.schedule is None
-                else build_mask(self.schedule))
+        """The wavefront mask, built on first use."""
+        mask = _wavefront_mask(self.step)
         mask.allow.flags.writeable = False
         return mask
 
@@ -255,7 +266,7 @@ class _SequenceLayout:
         whose route along that axis predicts slot t + 1.  0 is the
         condition, which predicts the origin along every axis; -1 marks an
         axis with no route.  Neighbor mode only."""
-        if self.schedule is None:
+        if self.axis[0] < 0:
             raise ValueError("raster routes follow no grid axis")
         table = np.full((len(self.coords), self.step.size), -1, dtype=np.int64)
         table[self.axis, self.tgt - 1] = self.src
@@ -337,10 +348,13 @@ def raster_forward_train(p: ModelParams, grids: np.ndarray,
 
 def check_batch(cfg: ModelConfig, grids: np.ndarray,
                 class_ids: np.ndarray) -> None:
-    """Raise ValueError unless `grids` is a (B, *cfg.shape.dims) batch and
-    every class id is a class of cfg or its null class."""
+    """Raise ValueError unless `grids` is a (B, *cfg.shape.dims) batch of
+    token ids in [0, vocab) and every class id is a class of cfg or its
+    null class."""
     if grids.shape[1:] != cfg.shape.dims:
         raise ValueError(f"grid shape {grids.shape[1:]} != config {cfg.shape.dims}")
+    if np.any(grids < 0) or np.any(grids >= cfg.vocab_size):
+        raise ValueError("token id out of range")
     if np.any(class_ids < 0) or np.any(class_ids > cfg.null_class):
         raise ValueError("class id out of range")
 
@@ -534,17 +548,6 @@ def infer_logits(p: ModelParams, tokens_in_order: np.ndarray,
 # checkpoint format
 # ---------------------------------------------------------------------------
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
-
-def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 class CheckpointError(RuntimeError):
     """Corrupt or mismatched checkpoint file."""
 
@@ -567,19 +570,15 @@ def save_checkpoint(p: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a NARCKPT2 file, or a NARCKPT1 file (FNV-1a64 trailer)."""
+    """Read a NARCKPT2 file."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob.startswith(CKPT_MAGIC):
-        digest, tail_len = zlib.crc32, 4
-    elif blob.startswith(LEGACY_CKPT_MAGIC):
-        digest, tail_len = fnv1a64, 8
-    else:
+    if not blob.startswith(CKPT_MAGIC):
         raise CheckpointError("not a checkpoint file (bad magic)")
-    if len(blob) < len(CKPT_MAGIC) + 4 + tail_len:
+    if len(blob) < len(CKPT_MAGIC) + 8:
         raise CheckpointError("truncated checkpoint file")
-    payload = memoryview(blob)[len(CKPT_MAGIC):-tail_len]
-    if digest(payload) != int.from_bytes(blob[-tail_len:], "little"):
+    payload = memoryview(blob)[len(CKPT_MAGIC):-4]
+    if zlib.crc32(payload) != int.from_bytes(blob[-4:], "little"):
         raise CheckpointError("checksum mismatch")
     cfg_len = int.from_bytes(payload[:4], "little")
     try:

@@ -233,7 +233,7 @@ def generate_raster(params: ModelParams, class_id: int, shape: GridShape,
         raise ValueError("class id out of range")
     use_cfg = config.cfg_scale != 1.0
     class_ids = [class_id, cfg.null_class] if use_cfg else [class_id]
-    order = list(shape.positions())
+    layout = sequence_layout(cfg)
     grid = np.zeros(shape.dims, dtype=np.int64)
     stats = GenerationStats()
     cache = KVCache.empty(cfg)
@@ -244,11 +244,10 @@ def generate_raster(params: ModelParams, class_id: int, shape: GridShape,
                              config.cfg_scale)
         return head_logits[0, 0]
 
-    # raster index i is position i's flat index and pass i's step
-    index = np.arange(shape.num_tokens)
-    uniforms = philox_uniform(config.seed, index, index).tolist()
+    uniforms = philox_uniform(config.seed, layout.step,
+                              layout.raster_idx).tolist()
     x = embed_condition(params, class_ids)
-    for i, pos in enumerate(order):
+    for i, pos in enumerate(layout.order):
         t0 = time.perf_counter()
         logits = forward_incremental(params, x, cache)
         stats.forward_passes += 1
@@ -256,7 +255,7 @@ def generate_raster(params: ModelParams, class_id: int, shape: GridShape,
                                  _Uniform(uniforms[i]))
         stats.tokens_generated += 1
         stats.step_wall_ms.append((time.perf_counter() - t0) * 1000)
-        if i + 1 < len(order):
+        if i + 1 < shape.num_tokens:
             e = embed_tokens(params, np.array([grid[pos]]), [pos])
             x = np.repeat(e[None], len(class_ids), axis=0)
     if stats.forward_passes != shape.num_tokens:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import SyntheticSpec, gen_synthetic
-from .grid import build_schedule  # noqa: F401 (perfbench/tracing.py wraps it)
+from .grid import build_schedule
 from .model import (NEIGHBOR, RASTER, ModelConfig, ModelParams, check_batch,
                     forward_train, infer_logits, init_model,
                     raster_forward_train, sequence_layout)
@@ -115,7 +115,7 @@ def train_loop(config: TrainConfig, log=None):
     """
     cfg = config.model
     params = init_model(cfg, seed=config.seed)
-    layout = sequence_layout(cfg)
+    schedule, mask = build_schedule(cfg.shape), sequence_layout(cfg).mask
 
     train_set, eval_set, rng = _splits(config)
 
@@ -145,8 +145,7 @@ def train_loop(config: TrainConfig, log=None):
         if cfg.mode == RASTER:
             loss = raster_forward_train(params, grids, classes)[1]
         else:
-            loss = forward_train(params, grids, classes, layout.schedule,
-                                 layout.mask)[1]
+            loss = forward_train(params, grids, classes, schedule, mask)[1]
         last_loss = float(loss.data)
         if not math.isfinite(last_loss):
             raise T.NonFiniteError(

@@ -161,10 +161,14 @@ class TestForwardTrain:
         assert T.grad_check(f, p.tensors, n_samples=48) < 1e-4
 
 
+# degenerate axes (length 1) and 3-D shapes, with per-axis and shared heads
+ROUTE_CASES = [((3, 4), False), ((2, 3, 3), False), ((2, 3, 3), True)] + [
+    (dims, shared) for dims in ((1, 1), (1, 5), (5, 1), (1, 1, 1), (3, 1, 2))
+    for shared in (False, True)]
+
+
 class TestSequenceLayout:
-    @pytest.mark.parametrize("dims,shared", [((3, 4), False),
-                                             ((2, 3, 3), False),
-                                             ((2, 3, 3), True)])
+    @pytest.mark.parametrize("dims,shared", ROUTE_CASES)
     def test_routes_are_the_target_table(self, dims, shared):
         cfg = small_config(dims=dims, shared_head=shared)
         layout = sequence_layout(cfg)
@@ -177,13 +181,11 @@ class TestSequenceLayout:
             assert list(zip(src.tolist(), tgt.tolist())) == [
                 (s, t) for s, a, t in table if cfg.head_for_axis(a) == h]
 
-    @pytest.mark.parametrize("dims,shared", [((3, 4), False),
-                                             ((2, 3, 3), False),
-                                             ((2, 3, 3), True)])
+    @pytest.mark.parametrize("dims,shared", ROUTE_CASES)
     def test_axis_src_is_the_predecessor_table(self, dims, shared):
         cfg = small_config(dims=dims, shared_head=shared)
         layout = sequence_layout(cfg)
-        sched = layout.schedule
+        sched = build_schedule(cfg.shape)
         # the condition predicts the origin along every axis
         expected = np.full((cfg.shape.ndim, cfg.shape.num_tokens), -1)
         expected[:, 0] = 0
@@ -194,23 +196,46 @@ class TestSequenceLayout:
         assert np.array_equal(layout.axis_src, expected)
         assert layout.axis_src is layout.axis_src
         with pytest.raises(ValueError):
-            layout.axis_src[0, 1] = 0
+            layout.axis_src[0, 0] = 0
         with pytest.raises(ValueError):
             sequence_layout(small_config(mode=RASTER, dims=dims)).axis_src
 
     def test_raster_routes_are_the_causal_chain(self):
-        cfg = small_config(mode=RASTER, dims=(3, 4))
-        layout = sequence_layout(cfg)
-        n = cfg.shape.num_tokens
-        assert layout.raster_idx.tolist() == list(range(n))
-        assert layout.src.tolist() == list(range(n))
-        assert layout.tgt.tolist() == list(range(1, n + 1))
-        assert set(layout.head.tolist()) == {0}
-        assert set(layout.axis.tolist()) == {-1}
-        src, tgt = layout.by_head[0]
-        assert len(layout.by_head) == 1
-        assert src.tolist() == list(range(n))
-        assert tgt.tolist() == list(range(1, n + 1))
+        for dims in ((3, 4), (2, 3, 3)):
+            cfg = small_config(mode=RASTER, dims=dims)
+            layout = sequence_layout(cfg)
+            n = cfg.shape.num_tokens
+            assert layout.order == tuple(cfg.shape.positions())
+            assert layout.raster_idx.tolist() == list(range(n))
+            assert layout.src.tolist() == list(range(n))
+            assert layout.tgt.tolist() == list(range(1, n + 1))
+            assert set(layout.head.tolist()) == {0}
+            assert set(layout.axis.tolist()) == {-1}
+            src, tgt = layout.by_head[0]
+            assert len(layout.by_head) == 1
+            assert src.tolist() == list(range(n))
+            assert tgt.tolist() == list(range(1, n + 1))
+
+    def test_layout_is_built_without_the_schedule_oracles(self,
+                                                          monkeypatch):
+        """The layout writes the decode order down once, as its step
+        array; grid's schedule, route table and masks stay independent."""
+        from neighborgen import grid, model
+        names = ("build_schedule", "target_table", "build_mask",
+                 "build_raster_mask")
+        assert not any(hasattr(model, name) for name in names)
+
+        def oracle(*args):
+            raise AssertionError("layout built from a grid oracle")
+
+        for name in names:
+            monkeypatch.setattr(grid, name, oracle)
+        for mode, heads in ((NEIGHBOR, (0, 1, 2)), (NEIGHBOR, (0, 0, 0)),
+                            (RASTER, (0, 0, 0))):
+            layout = model._SequenceLayout(GridShape((2, 3, 3)), mode, heads)
+            assert layout.bias.shape == (19, 19)
+            if mode == NEIGHBOR:
+                assert layout.axis_src.shape == (3, 18)
 
     def test_equal_configs_share_one_read_only_layout(self):
         cfg = small_config(dims=(3, 4))
@@ -380,14 +405,15 @@ class TestCheckpoint:
         assert a == (tmp_path / "b.ckpt").read_bytes()
         assert a == (tmp_path / "c.ckpt").read_bytes()
 
-    def test_legacy_narckpt1_loads(self, tmp_path):
+    def test_legacy_narckpt1_rejected(self, tmp_path, capsys):
+        """The NARCKPT1 reader is gone: a NARCKPT1 file fails the magic
+        check."""
         p = randomize(init_model(small_config(), 0), 9)
         path = tmp_path / "old.ckpt"
         path.write_bytes(legacy_checkpoint(p))
-        q = load_checkpoint(path)
-        assert q.config == p.config
-        for k in p.tensors:
-            assert np.array_equal(p[k].data, q[k].data)
+        with pytest.raises(CheckpointError, match="bad magic"):
+            load_checkpoint(path)
+        assert cli(["inspect", "--ckpt", str(path)]) == EXIT_DATA
 
     @pytest.mark.parametrize("legacy", [False, True])
     def test_flipped_byte_rejected_in_both_formats(self, tmp_path, legacy,
@@ -444,13 +470,13 @@ class TestCheckpoint:
 class TestLayoutGeometry:
     @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 3)])
     def test_neighbor_step_is_manhattan_distance(self, dims):
-        layout = sequence_layout(small_config(dims=dims))
-        assert layout.order is layout.schedule.order
+        cfg = small_config(dims=dims)
+        layout = sequence_layout(cfg)
+        assert layout.order == build_schedule(cfg.shape).order
         assert layout.step.tolist() == [sum(p) for p in layout.order]
 
     def test_raster_step_is_the_raster_index(self):
         layout = sequence_layout(small_config(mode=RASTER, dims=(3, 4)))
-        assert layout.schedule is None
         assert layout.step.tolist() == list(range(12))
 
     @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 3)])
@@ -497,7 +523,7 @@ class TestCachedBias:
         if mode == RASTER:
             raster_forward_train(p, g, c)
         else:
-            forward_train(p, g, c, layout.schedule, layout.mask)
+            forward_train(p, g, c, build_schedule(cfg.shape), layout.mask)
 
 
 class TestInferenceMatchesAutodiff:
@@ -517,7 +543,8 @@ class TestInferenceMatchesAutodiff:
         if mode == RASTER:
             ref, _ = raster_forward_train(p, g, c)
         else:
-            ref, _ = forward_train(p, g, c, layout.schedule, layout.mask)
+            ref, _ = forward_train(p, g, c, build_schedule(cfg.shape),
+                                   layout.mask)
         for a, b in zip(fast, ref):
             assert np.abs(a - b.data).max() < 1e-5
 

@@ -6,7 +6,8 @@ import pytest
 from neighborgen.data import SHAPES, SyntheticSpec
 from neighborgen.grid import (GridShape, build_schedule, predecessors,
                              target_table)
-from neighborgen.model import RASTER, ModelConfig, init_model, sequence_layout
+from neighborgen.model import (RASTER, ModelConfig, forward_train, init_model,
+                               sequence_layout)
 from neighborgen.train import (TrainConfig, _overlapped_targets,
                                ablate_single_head, eval_nll, make_dataset,
                                overlap_nll, train_loop)
@@ -141,6 +142,22 @@ class TestEvalNll:
         for score in (eval_nll, overlap_nll):
             with pytest.raises(ValueError, match="class id"):
                 score(params, data)
+
+    @pytest.mark.parametrize("token", [-1, 4])
+    def test_token_out_of_range_rejected(self, token):
+        # vocab is 4: -1 would wrap to the last embedding row, 4 index past it
+        cfg = tiny_train_config()
+        params = init_model(cfg.model, 0)
+        bad = np.zeros((4, 4), np.int64)
+        bad[2, 1] = token
+        data = [(np.zeros((4, 4), np.int64), 0), (bad, 1)]
+        for score in (eval_nll, overlap_nll):
+            with pytest.raises(ValueError, match="token id"):
+                score(params, data)
+        with pytest.raises(ValueError, match="token id"):
+            forward_train(params, np.stack([g for g, _ in data]),
+                          np.array([0, 1]), build_schedule(cfg.model.shape),
+                          sequence_layout(cfg.model).mask)
 
     def test_term_count_matches_target_table(self):
         shape = GridShape((4, 4))

@@ -7,8 +7,10 @@ Two modes:
   * "raster": same backbone under a plain causal mask with a single
     next-token head, used as the controlled baseline.
 
-Training forwards run on the autodiff engine; inference forwards are plain
-numpy with a KV cache.
+Every transformer block runs one plain-numpy forward, `_block_infer`:
+inference calls it with a KV cache, and training wraps it as one autodiff
+node per block with a closed-form backward.  The embedding, the heads'
+final norm and projection, and the loss train on the autodiff engine.
 """
 
 from __future__ import annotations
@@ -166,25 +168,72 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _block_train(p: ModelParams, prefix: str, x: T.Tensor,
-                 bias: np.ndarray, n_heads: int) -> T.Tensor:
-    """Pre-norm transformer block: x + attn(ln(x)); x + mlp(ln(x))."""
-    B, S, D = x.shape
-    dh = D // n_heads
-    h = T.layernorm(x, p[f"{prefix}.ln1_g"], p[f"{prefix}.ln1_b"])
-    qkv = T.add(T.matmul(h, p[f"{prefix}.w_qkv"]), p[f"{prefix}.b_qkv"])
-    qkv = T.reshape(qkv, (B, S, 3, n_heads, dh))
-    qkv = T.transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, H, S, dh)
-    q = T.take(qkv, np.array(0), axis=0)
-    k = T.take(qkv, np.array(1), axis=0)
-    v = T.take(qkv, np.array(2), axis=0)
-    att = T.masked_attention(q, k, v, bias)  # (B, H, S, dh)
-    att = T.reshape(T.transpose(att, (0, 2, 1, 3)), (B, S, D))
-    x = T.add(x, T.add(T.matmul(att, p[f"{prefix}.w_o"]), p[f"{prefix}.b_o"]))
-    h = T.layernorm(x, p[f"{prefix}.ln2_g"], p[f"{prefix}.ln2_b"])
-    h = T.gelu(T.add(T.matmul(h, p[f"{prefix}.w_fc1"]), p[f"{prefix}.b_fc1"]))
-    h = T.add(T.matmul(h, p[f"{prefix}.w_fc2"]), p[f"{prefix}.b_fc2"])
-    return T.add(x, h)
+def _ln_backward(d, xhat, std, gamma):
+    """(d input, d gamma, d beta) of xhat * gamma + beta, for cotangent d."""
+    gg = d * gamma
+    dx = gg - gg.mean(axis=-1, keepdims=True) \
+        - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+    return dx / std, (d * xhat).sum(axis=0), d.sum(axis=0)
+
+
+def _block_node(p: ModelParams, prefix: str, x: T.Tensor,
+                bias: np.ndarray) -> T.Tensor:
+    """One transformer block as one autodiff node over the block input and
+    its 12 parameters: `_block_infer`'s forward and a closed-form backward.
+    Every weight gradient is one 2-D GEMM over the B * S rows."""
+    names = [f"{prefix}.{n}" for n, _ in _block_param_shapes(p.config)]
+    params = [p[n] for n in names]
+    arr = {n: t.data for n, t in zip(names, params)}
+    ln1_g, _, w_qkv, _, w_o, _, ln2_g, _, w_fc1, _, w_fc2, _ = arr.values()
+    s = {}
+    out = T.Tensor(_block_infer(arr, prefix, x.data, p.config.num_attn_heads,
+                                bias, saved=s), (x, *params))
+
+    def bw(dy):
+        B, S, D = dy.shape
+        one = dy.dtype.type
+
+        def rows(a):
+            return a.reshape(B * S, -1)
+
+        dy = rows(dy)
+        # MLP: y = x1 + gelu(u) @ w_fc2 + b_fc2, u = ln2(x1) @ w_fc1 + b_fc1
+        d_wfc2 = rows(s["gl"]).T @ dy
+        u, t = rows(s["u"]), rows(s["t"])
+        dt = (1.0 - t * t) * one(_GELU_C) * (1.0 + 3.0 * one(_GELU_K) * u * u)
+        du = (dy @ w_fc2.T) * (0.5 * (1.0 + t) + 0.5 * u * dt)
+        d_wfc1 = rows(s["h2"]).T @ du
+        dx, d_ln2g, d_ln2b = _ln_backward(du @ w_fc1.T, rows(s["xhat2"]),
+                                          rows(s["std2"]), ln2_g)
+        dx += dy
+        # attention: x1 = x + att @ w_o + b_o
+        d_wo = rows(s["att"]).T @ dx
+        H = p.config.num_attn_heads
+        datt = (dx @ w_o.T).reshape(B, S, H, D // H).transpose(0, 2, 1, 3)
+        prob, k, v = s["p"], s["k"], s["v"]
+        dv = prob.swapaxes(-1, -2) @ datt
+        ds = datt @ v.swapaxes(-1, -2)  # d prob, then d scores in place
+        ds -= (ds * prob).sum(axis=-1, keepdims=True)
+        ds *= prob
+        dqkv = np.empty((B, S, 3, H, D // H), dtype=dy.dtype)
+        heads = dqkv.transpose(2, 0, 3, 1, 4)
+        heads[0] = (ds @ k) * one(1.0 / math.sqrt(D // H))
+        heads[1] = ds.swapaxes(-1, -2) @ s["qs"]
+        heads[2] = dv
+        dqkv = rows(dqkv)
+        d_wqkv = rows(s["h1"]).T @ dqkv
+        dx0, d_ln1g, d_ln1b = _ln_backward(dqkv @ w_qkv.T, rows(s["xhat1"]),
+                                           rows(s["std1"]), ln1_g)
+        dx0 += dx
+        grads = (d_ln1g, d_ln1b, d_wqkv, dqkv.sum(axis=0), d_wo,
+                 dx.sum(axis=0), d_ln2g, d_ln2b, d_wfc1, du.sum(axis=0),
+                 d_wfc2, dy.sum(axis=0))
+        for param, g in zip(params, grads):
+            T._acc(param, g)
+        T._acc(x, dx0.reshape(B, S, D))
+
+    out._backward = bw
+    return out
 
 
 class _SequenceLayout:
@@ -310,10 +359,10 @@ def _backbone_and_heads(p: ModelParams, x: T.Tensor,
     """Run backbone then every decoding head; return per-head logits."""
     cfg = p.config
     for i in range(cfg.num_blocks):
-        x = _block_train(p, f"bb{i}", x, bias, cfg.num_attn_heads)
+        x = _block_node(p, f"bb{i}", x, bias)
     logits = []
     for h in range(cfg.num_decode_heads):
-        y = _block_train(p, f"head{h}", x, bias, cfg.num_attn_heads)
+        y = _block_node(p, f"head{h}", x, bias)
         y = T.layernorm(y, p[f"head{h}.lnf_g"], p[f"head{h}.lnf_b"])
         logits.append(T.add(T.matmul(y, p[f"head{h}.w_out"]),
                             p[f"head{h}.b_out"]))
@@ -428,30 +477,39 @@ class KVCache:
         return self.keys[layer][..., :end], self.values[layer][:, :, :end]
 
 
-def _gelu_np(x):
-    c = np.float32(math.sqrt(2.0 / math.pi))
-    k = np.float32(0.044715)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + k * (x * x * x))))
+_GELU_C = math.sqrt(2.0 / math.pi)  # tanh-approximation GELU constants
+_GELU_K = 0.044715
 
 
-def _ln_np(x, g, b, eps=1e-5):
+def _normalize(x):
+    """x normalised over its last axis (eps 1e-5), and the std divided by."""
     # sum / n rounds exactly as x.mean() does, without its Python wrapper
     n = x.shape[-1]
     xc = x - x.sum(axis=-1, keepdims=True) / n
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    return xc / np.sqrt(var + np.float32(eps)) * g + b
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n
+                  + x.dtype.type(1e-5))
+    return xc / std, std
 
 
-def _block_infer(arr, prefix, x, n_heads, bias=None, cache=None, layer=0):
-    """One block over m new slots.
+def _block_infer(arr, prefix, x, n_heads, bias=None, cache=None, layer=0,
+                 saved=None):
+    """One block over m new slots: x + attn(ln(x)), then x + mlp(ln(x)).
 
     With a cache, the slots are appended to layer `layer` and attend to the
     filled prefix; without one they attend to each other.  Attention is
     unmasked unless an explicit additive `bias` over those keys is given.
+    A `saved` dict (training, no cache) receives the activations that
+    `_block_node`'s backward reads.
     """
     B, m, D = x.shape
     dh = D // n_heads
-    h = _ln_np(x, arr[f"{prefix}.ln1_g"], arr[f"{prefix}.ln1_b"])
+    one = x.dtype.type
+    # names are rebound as the block goes, so inference frees each
+    # activation once it is used
+    keep = (lambda **_: None) if saved is None else saved.update
+    xhat, std = _normalize(x)
+    h = xhat * arr[f"{prefix}.ln1_g"] + arr[f"{prefix}.ln1_b"]
+    keep(xhat1=xhat, std1=std, h1=h)
     qkv = h @ arr[f"{prefix}.w_qkv"] + arr[f"{prefix}.b_qkv"]
     qkv = qkv.reshape(B, m, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q, k, v = qkv[0], qkv[1], qkv[2]
@@ -459,17 +517,28 @@ def _block_infer(arr, prefix, x, n_heads, bias=None, cache=None, layer=0):
         cache.append(layer, k, v)
     # scaling q and normalising the (m, dh) output leave the scores four
     # passes: product, max, shift-and-exp, sum
-    scores = (q * np.float32(1.0 / math.sqrt(dh))) @ kt
+    q = q * one(1.0 / math.sqrt(dh))
+    scores = q @ kt
     if bias is not None:
         scores += bias
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     att = scores @ v
-    att /= scores.sum(axis=-1, keepdims=True)
+    den = scores.sum(axis=-1, keepdims=True)
+    att /= den
     att = att.transpose(0, 2, 1, 3).reshape(B, m, D)
+    if saved is not None:
+        scores /= den  # the attention probabilities
+    keep(qs=q, k=k, v=v, p=scores, att=att)
     x = x + att @ arr[f"{prefix}.w_o"] + arr[f"{prefix}.b_o"]
-    h = _ln_np(x, arr[f"{prefix}.ln2_g"], arr[f"{prefix}.ln2_b"])
-    h = _gelu_np(h @ arr[f"{prefix}.w_fc1"] + arr[f"{prefix}.b_fc1"])
+    xhat, std = _normalize(x)
+    h = xhat * arr[f"{prefix}.ln2_g"] + arr[f"{prefix}.ln2_b"]
+    keep(xhat2=xhat, std2=std, h2=h)
+    h = h @ arr[f"{prefix}.w_fc1"] + arr[f"{prefix}.b_fc1"]
+    t = np.tanh(one(_GELU_C) * (h + one(_GELU_K) * (h * h * h)))
+    keep(u=h, t=t)
+    h = 0.5 * h * (1.0 + t)
+    keep(gl=h)
     return x + h @ arr[f"{prefix}.w_fc2"] + arr[f"{prefix}.b_fc2"]
 
 
@@ -482,7 +551,7 @@ def _infer_blocks(arr, cfg: ModelConfig, x, bias=None, cache=None):
     for h in range(cfg.num_decode_heads):
         y = _block_infer(arr, f"head{h}", x, n_heads, bias, cache,
                          cfg.num_blocks + h)
-        y = _ln_np(y, arr[f"head{h}.lnf_g"], arr[f"head{h}.lnf_b"])
+        y = _normalize(y)[0] * arr[f"head{h}.lnf_g"] + arr[f"head{h}.lnf_b"]
         logits.append(y @ arr[f"head{h}.w_out"] + arr[f"head{h}.b_out"])
     return logits
 

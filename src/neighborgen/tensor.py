@@ -58,11 +58,17 @@ class Tensor:
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    """Lazily accumulate a gradient contribution into t.grad."""
+    """Lazily accumulate a gradient contribution into t.grad.  The first
+    one is stored as is, so `g` must be a fresh array nothing else holds."""
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g
     else:
         t.grad += g
+
+
+def _acc_view(t: Tensor, g: np.ndarray) -> None:
+    """`_acc` for a contribution that may be a view of another gradient."""
+    _acc(t, g.copy() if t.grad is None else g)
 
 
 def _ensure_grad(t: Tensor) -> np.ndarray:
@@ -85,8 +91,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, (a, b))
 
     def bw(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(g, b.data.shape))
+        _acc_view(a, _unbroadcast(g, a.data.shape))
+        _acc_view(b, _unbroadcast(g, b.data.shape))
 
     out._backward = bw
     return out
@@ -151,7 +157,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), (a,))
 
     def bw(g):
-        _acc(a, g.reshape(a.data.shape))
+        _acc_view(a, g.reshape(a.data.shape))
 
     out._backward = bw
     return out
@@ -162,7 +168,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
 
     def bw(g):
-        _acc(a, np.transpose(g, inv))
+        _acc_view(a, np.transpose(g, inv))
 
     out._backward = bw
     return out
@@ -176,7 +182,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
     def bw(g):
         for t, gi in zip(tensors, np.split(g, splits, axis=axis)):
-            _acc(t, gi)
+            _acc_view(t, gi)
 
     out._backward = bw
     return out
@@ -234,7 +240,7 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     def bw(g):
         gg = g * gamma.data
         _acc(gamma, _unbroadcast(g * xhat, gamma.data.shape))
-        _acc(beta, _unbroadcast(g, beta.data.shape))
+        _acc_view(beta, _unbroadcast(g, beta.data.shape))
         # d/dx of (x - mu) * inv
         gsum = gg.sum(axis=-1, keepdims=True)
         gxhat = (gg * xhat).sum(axis=-1, keepdims=True)
@@ -358,18 +364,25 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
+    # two rows, each the size of the largest parameter, hold every temporary
+    size = max((m.size for m in state.m.values()), default=0)
+    scratch = np.empty((2, size), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in params.items():
             g = grads[name]
             m = state.m[name]
             v = state.v[name]
+            a, b = (row[:m.size].reshape(m.shape) for row in scratch)
             m *= beta1
-            m += (1.0 - beta1) * g
+            m += np.multiply(g, 1.0 - beta1, out=a)
             v *= beta2
-            v += (1.0 - beta2) * g * g
-            mhat = m / c1
-            vhat = v / c2
-            p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+            np.multiply(g, 1.0 - beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            # lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.sqrt(np.divide(v, c2, out=a), out=a)
+            a += eps
+            np.multiply(np.divide(m, c1, out=b), lr, out=b)
+            p.data -= np.divide(b, a, out=b)
 
 
 def grad_check(loss_fn, params: dict[str, Tensor], n_samples: int = 64,

@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from neighborgen import model
 from neighborgen import tensor as T
 from neighborgen.cli import EXIT_DATA, cli
 from neighborgen.grid import (AttentionMask, GridShape, build_mask,
@@ -531,8 +532,9 @@ class TestInferenceMatchesAutodiff:
                                            (NEIGHBOR, (2, 3, 3)),
                                            (RASTER, (3, 4))])
     def test_full_sequence_logits(self, mode, dims):
-        """The numpy attention (scaled queries, output normalised after
-        the value product) against the autodiff softmax attention."""
+        """Both forwards run the blocks through `_block_infer`; they differ
+        in the embedding and in the heads' final norm and projection,
+        which training builds from autodiff ops."""
         cfg = small_config(mode=mode, dims=dims)
         layout = sequence_layout(cfg)
         p = randomize(init_model(cfg, 0), 6)
@@ -598,3 +600,166 @@ class TestLegacyDropoutKey:
         else:
             with pytest.raises(CheckpointError):
                 load_checkpoint(path)
+
+
+def _block_train(p: ModelParams, prefix: str, x: T.Tensor,
+                 bias: np.ndarray, n_heads: int) -> T.Tensor:
+    """Pre-norm transformer block: x + attn(ln(x)); x + mlp(ln(x))."""
+    B, S, D = x.shape
+    dh = D // n_heads
+    h = T.layernorm(x, p[f"{prefix}.ln1_g"], p[f"{prefix}.ln1_b"])
+    qkv = T.add(T.matmul(h, p[f"{prefix}.w_qkv"]), p[f"{prefix}.b_qkv"])
+    qkv = T.reshape(qkv, (B, S, 3, n_heads, dh))
+    qkv = T.transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, H, S, dh)
+    q = T.take(qkv, np.array(0), axis=0)
+    k = T.take(qkv, np.array(1), axis=0)
+    v = T.take(qkv, np.array(2), axis=0)
+    att = T.masked_attention(q, k, v, bias)  # (B, H, S, dh)
+    att = T.reshape(T.transpose(att, (0, 2, 1, 3)), (B, S, D))
+    x = T.add(x, T.add(T.matmul(att, p[f"{prefix}.w_o"]), p[f"{prefix}.b_o"]))
+    h = T.layernorm(x, p[f"{prefix}.ln2_g"], p[f"{prefix}.ln2_b"])
+    h = T.gelu(T.add(T.matmul(h, p[f"{prefix}.w_fc1"]), p[f"{prefix}.b_fc1"]))
+    h = T.add(T.matmul(h, p[f"{prefix}.w_fc2"]), p[f"{prefix}.b_fc2"])
+    return T.add(x, h)
+
+
+def composed_block(p, prefix, x, bias):
+    """The reference block, composed of autodiff ops, in `_block_node`'s
+    signature."""
+    return _block_train(p, prefix, x, bias, p.config.num_attn_heads)
+
+
+def train_step_outputs(p, grids, classes):
+    """Per-head logits, loss and every parameter gradient of one training
+    forward and backward."""
+    cfg = p.config
+    if cfg.mode == RASTER:
+        logits, loss = raster_forward_train(p, grids, classes)
+    else:
+        sched = build_schedule(cfg.shape)
+        logits, loss = forward_train(p, grids, classes, sched,
+                                     build_mask(sched))
+    loss.backward()
+    return ([y.data for y in logits], loss.data,
+            {name: t.grad for name, t in p.tensors.items()})
+
+
+FUSED_CONFIGS = [dict(dims=(4, 4)), dict(dims=(2, 3, 3)),
+                 dict(dims=(2, 3, 3), shared_head=True),
+                 dict(dims=(4, 4), mode=RASTER)]
+
+
+def fused_and_composed(kw, dtype, monkeypatch):
+    """train_step_outputs at batch 3 through the fused block node and
+    through the composed reference, on equal randomised parameters."""
+    cfg = small_config(**kw)
+    rng = np.random.default_rng(11)
+    grids = rng.integers(0, cfg.vocab_size, (3, *cfg.shape.dims))
+    classes = np.array([0, 2, cfg.null_class])
+
+    def run():
+        p = randomize(init_model(cfg, 0), 5)
+        for t in p.tensors.values():
+            t.data = t.data.astype(dtype)
+        return train_step_outputs(p, grids, classes)
+
+    fused = run()
+    with monkeypatch.context() as m:
+        m.setattr(model, "_block_node", composed_block)
+        return fused, run()
+
+
+class TestFusedBlock:
+    def test_composed_block_is_gone(self):
+        assert not hasattr(model, "_block_train")
+
+    @pytest.mark.parametrize("kw", FUSED_CONFIGS)
+    def test_one_block_forward_per_block(self, kw, monkeypatch):
+        cfg = small_config(**kw)
+        calls = []
+        block_infer = model._block_infer
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return block_infer(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_block_infer", counted)
+        grids = np.zeros((2, *cfg.shape.dims), dtype=np.int64)
+        train_step_outputs(randomize(init_model(cfg, 0), 1), grids,
+                           np.array([0, 1]))
+        assert len(calls) == cfg.num_blocks + cfg.num_decode_heads
+
+    @pytest.mark.parametrize("kw", FUSED_CONFIGS)
+    def test_matches_composed_float32(self, kw, monkeypatch):
+        (logits, loss, grads), (ref_logits, ref_loss, ref_grads) = \
+            fused_and_composed(kw, np.float32, monkeypatch)
+        for a, b in zip(logits, ref_logits, strict=True):
+            assert a.dtype == np.float32
+            assert np.abs(a - b).max() < 1e-5
+        assert abs(float(loss) - float(ref_loss)) < 1e-6
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == np.float32
+            scale = np.abs(ref_grads[name]).max()
+            assert np.abs(g - ref_grads[name]).max() <= 1e-5 * scale, name
+
+    @pytest.mark.parametrize("kw", FUSED_CONFIGS)
+    def test_matches_composed_float64(self, kw, monkeypatch):
+        (logits, loss, grads), (ref_logits, ref_loss, ref_grads) = \
+            fused_and_composed(kw, np.float64, monkeypatch)
+        for a, b in zip(logits, ref_logits, strict=True):
+            assert a.dtype == np.float64
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+        assert abs(float(loss) - float(ref_loss)) <= 1e-9 * float(ref_loss)
+        for name, g in grads.items():
+            scale = np.abs(ref_grads[name]).max()
+            assert np.abs(g - ref_grads[name]).max() <= 1e-9 * scale, name
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_block_gradient_check(self, seed):
+        """Central differences through one block alone, against a random
+        cotangent, so the input gradient is checked directly."""
+        cfg = small_config(dims=(2, 3))
+        layout = sequence_layout(cfg)
+        rng = np.random.default_rng(seed)
+        p = randomize(init_model(cfg, seed), seed)
+        tensors = {n: p[n] for n in p.tensors if n.startswith("bb0.")}
+        S = layout.step.size + 1
+        tensors["x"] = T.Tensor(rng.normal(0, 1, (2, S, cfg.embed_dim))
+                                .astype(np.float32))
+        r = rng.normal(0, 1, (2 * S * cfg.embed_dim, 1))
+
+        def f(ts):
+            y = model._block_node(ModelParams(cfg, {**tensors, **ts}), "bb0",
+                                  ts["x"], layout.bias)
+            # (y * r).sum() as one product
+            return T.matmul(T.reshape(y, (1, -1)),
+                            T.Tensor(r.astype(y.data.dtype)))
+
+        # coordinates of the input alone, then of the input and the weights
+        for checked in ({"x": tensors["x"]}, tensors):
+            assert T.grad_check(f, checked, n_samples=60, seed=seed) < 1e-6
+
+
+class TestGradientOwnership:
+    @pytest.mark.parametrize("kw", [dict(dims=(3, 3)),
+                                    dict(dims=(3, 3), shared_head=True)])
+    def test_no_two_gradients_share_memory(self, kw):
+        cfg = small_config(**kw)
+        grids = np.random.default_rng(2).integers(0, cfg.vocab_size,
+                                                  (2, *cfg.shape.dims))
+        _, _, grads = train_step_outputs(randomize(init_model(cfg, 0), 3),
+                                         grids, np.array([0, 1]))
+        arrays = list(grads.values())
+        for i, a in enumerate(arrays):
+            assert all(not np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_second_backward_on_fresh_parameters_is_equal(self):
+        cfg = small_config(dims=(3, 3), shared_head=True)
+        grids = np.random.default_rng(4).integers(0, cfg.vocab_size,
+                                                  (2, *cfg.shape.dims))
+        first, second = (
+            train_step_outputs(randomize(init_model(cfg, 0), 3), grids,
+                               np.array([1, 2]))[2] for _ in range(2))
+        for name, g in first.items():
+            assert np.array_equal(g, second[name]), name

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from neighborgen import tensor as T
 from neighborgen.data import SHAPES, SyntheticSpec
 from neighborgen.grid import (GridShape, build_schedule, predecessors,
                              target_table)
@@ -264,3 +266,57 @@ class TestScorer:
         for score in (eval_nll, overlap_nll):
             with pytest.raises(ValueError, match="empty dataset"):
                 score(params, [])
+
+
+def adam_step_with_temporaries(params, grads, state, lr, beta1=0.9,
+                               beta2=0.999, eps=1e-8):
+    """`tensor.adam_step`'s update as one expression per moment and one
+    for the weights, each allocating its temporaries."""
+    if not state.m:
+        for name, p in params.items():
+            state.m[name] = np.zeros_like(p.data, dtype=np.float32)
+            state.v[name] = np.zeros_like(p.data, dtype=np.float32)
+    state.t += 1
+    c1 = 1.0 - beta1 ** state.t
+    c2 = 1.0 - beta2 ** state.t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = grads[name]
+            m = state.m[name]
+            v = state.v[name]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            mhat = m / c1
+            vhat = v / c2
+            p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+
+
+class TestAdamInPlace:
+    def test_bit_identical_to_the_formula(self):
+        """Four warm-up steps over parameters of three shapes; the third
+        step's gradient squares past float32's range."""
+        rng = np.random.default_rng(8)
+        shapes = {"w": (6, 5), "b": (5,), "t": (2, 3, 4)}
+        start = {n: rng.normal(0, 1, s).astype(np.float32)
+                 for n, s in shapes.items()}
+        new = {n: T.Tensor(a.copy()) for n, a in start.items()}
+        ref = {n: T.Tensor(a.copy()) for n, a in start.items()}
+        new_state, ref_state = T.AdamState(), T.AdamState()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step in range(4):
+                grads = {n: (rng.normal(0, 1, s) * 10.0 ** (step - 2))
+                         .astype(np.float32) for n, s in shapes.items()}
+                if step == 2:
+                    grads["w"][1, 2] = 3e38
+                lr = 1e-2 * (step + 1) / 4
+                T.adam_step(new, grads, new_state, lr)
+                adam_step_with_temporaries(ref, grads, ref_state, lr)
+                for n in shapes:
+                    assert new[n].data.tobytes() == ref[n].data.tobytes()
+                    assert new_state.m[n].tobytes() == ref_state.m[n].tobytes()
+                    assert new_state.v[n].tobytes() == ref_state.v[n].tobytes()
+        assert np.isinf(new_state.v["w"][1, 2])
+        assert np.all(np.isfinite(new["w"].data))
